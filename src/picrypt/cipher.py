@@ -323,6 +323,9 @@ def load_key(path) -> PermutationKey:
         perm = tuple(int(t) for t in fields["perm"].split(","))
     except (KeyError, ValueError) as exc:
         raise KeyMismatchError(f"malformed key file: {exc}") from None
+    # before gen_key, whose cost is set by the file's own n
+    if len(perm) != n:
+        raise KeyMismatchError(f"perm has {len(perm)} entries, n={n}")
     expected = gen_key(seed, n)
     if perm != expected.perm:
         raise KeyMismatchError("perm does not match the stated (seed, n)")

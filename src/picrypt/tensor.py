@@ -10,6 +10,7 @@ case add() documents.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -365,27 +366,40 @@ def save_checkpoint(path, params) -> None:
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back as a name -> Tensor dict."""
+    """Read a checkpoint back as a name -> Tensor dict.
+
+    A file cut short anywhere (header, name, dims or payload) raises
+    ShapeError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ShapeError(f"bad checkpoint magic: {blob[:4]!r}")
-    version, count = struct.unpack_from("<II", blob, 4)
+    pos = 4
+
+    def advance(nbytes, what):
+        # offset of the next nbytes, which must lie inside the file
+        nonlocal pos
+        if len(blob) - pos < nbytes:
+            raise ShapeError(
+                f"truncated checkpoint: {what} needs {nbytes} bytes at offset "
+                f"{pos}, {len(blob) - pos} left"
+            )
+        pos += nbytes
+        return pos - nbytes
+
+    version, count = struct.unpack_from("<II", blob, advance(8, "header"))
     if version != CHECKPOINT_VERSION:
         raise ShapeError(f"unsupported checkpoint version {version}")
-    pos = 12
     params = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos : pos + nlen].decode("utf-8")
-        pos += nlen
-        (rank,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
-        dims = struct.unpack_from(f"<{rank}Q", blob, pos)
-        pos += 8 * rank
-        size = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(blob, dtype="<f8", count=size, offset=pos).reshape(dims)
-        pos += 8 * size
+        (nlen,) = struct.unpack_from("<H", blob, advance(2, "name length"))
+        at = advance(nlen, "name")
+        name = blob[at : at + nlen].decode("utf-8")
+        (rank,) = struct.unpack_from("<I", blob, advance(4, "rank"))
+        dims = struct.unpack_from(f"<{rank}Q", blob, advance(8 * rank, "dims"))
+        size = math.prod(dims)
+        at = advance(8 * size, "data")
+        data = np.frombuffer(blob, dtype="<f8", count=size, offset=at).reshape(dims)
         params[name] = Tensor(data.copy())
     return params

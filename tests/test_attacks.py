@@ -172,6 +172,16 @@ def test_jigsaw_constant_patches_still_valid():
     assert sorted(a.placement.values()) == [0, 1, 2, 3]
 
 
+def test_jigsaw_one_row_and_one_column_grids():
+    # the seed pair must be one the grid can hold: side by side in a single
+    # row, stacked in a single column; flat patches tie every seam, so the
+    # relation order alone would seed a column side by side
+    flat = [np.full((4, 4, 1), 9, dtype=np.uint8) for _ in range(4)]
+    for patches, rows, cols in ((flat, 4, 1), (flat[:2], 2, 1), (flat[:3], 1, 5)):
+        arr = jigsaw_solve(patches, rows, cols)
+        assert sorted(arr.placement.values()) == list(range(len(patches)))
+
+
 # ---------------------------------------------------------------- metrics
 
 

@@ -373,6 +373,18 @@ def test_key_file_rejects_tampered_perm(tmp_path):
         load_key(path)
 
 
+def test_key_file_length_checked_before_gen_key(tmp_path, monkeypatch):
+    # a short file claiming a huge n must be rejected without deriving the key
+    def refuse(seed, n):
+        raise AssertionError(f"gen_key({seed}, {n}) called")
+
+    monkeypatch.setattr("picrypt.cipher.gen_key", refuse)
+    path = tmp_path / "k.key"
+    path.write_text(f"{KEY_MAGIC}\nn=30000000\nseed=0\nperm=0,1,2\n")
+    with pytest.raises(KeyMismatchError):
+        load_key(path)
+
+
 def test_key_file_rejects_bad_magic(tmp_path):
     path = tmp_path / "k.key"
     path.write_text("NOT-A-KEY 9\nn=1\nseed=0\nperm=0\n")

@@ -6,6 +6,7 @@ import pytest
 import picrypt.cipher
 from picrypt.cli import run
 from picrypt.imgio import Image, load_ppm, save_ppm
+from picrypt.tensor import Tensor, save_checkpoint
 
 TINY_CFG = (
     "data.image_size = 32\ndata.classes = 2\ndata.train_per_class = 2\n"
@@ -202,6 +203,16 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path):
     cfg.write_text(TINY_CFG)
     assert run(["eval", "--config", str(cfg),
                 "--ckpt", str(tmp_path / "no.petn")]) == 2
+
+
+def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    ckpt = tmp_path / "cut.petn"
+    save_checkpoint(ckpt, {"w": Tensor(np.ones((2, 2)))})
+    ckpt.write_bytes(ckpt.read_bytes()[:20])
+    assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_train_bad_config_key_is_data_error(tmp_path, capsys):

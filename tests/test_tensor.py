@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from picrypt.errors import ShapeError
+from picrypt.errors import PicryptError, ShapeError
 from picrypt.tensor import (
     CHECKPOINT_MAGIC,
     LAYER_NORM_EPS,
@@ -320,6 +320,20 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     save_checkpoint(p2, dict(reversed(list(params.items()))))
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_bytes().startswith(CHECKPOINT_MAGIC)
+
+
+def test_checkpoint_truncated_anywhere_is_picrypt_error(tmp_path):
+    # every strict prefix: inside the header, a name, the dims or the data
+    rng = np.random.default_rng(11)
+    params = {"w": t(rng.standard_normal((2, 3))), "s": t(np.float64(1.5))}
+    full = tmp_path / "m.petn"
+    save_checkpoint(full, params)
+    blob = full.read_bytes()
+    cut = tmp_path / "cut.petn"
+    for k in range(len(blob)):
+        cut.write_bytes(blob[:k])
+        with pytest.raises(PicryptError):
+            load_checkpoint(cut)
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
