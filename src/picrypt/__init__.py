@@ -15,7 +15,6 @@ from .cipher import (
     keyspace,
     load_key,
     mi_encrypt,
-    mixed_values,
     quantize_mixed,
     rs_decrypt,
     rs_encrypt,
@@ -67,7 +66,6 @@ __all__ = [
     "load_key",
     "load_ppm",
     "mi_encrypt",
-    "mixed_values",
     "quantize_mixed",
     "rs_decrypt",
     "rs_encrypt",

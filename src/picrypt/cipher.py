@@ -3,9 +3,10 @@ alternation in a substitution-permutation style.
 
 Shuffling permutes whole patches under a seeded key (the secret); mixing
 replaces each patch by the elementwise mean of its four quadrants, scaled
-to [0, 1]. Mixed patches keep their grid position and are stored at full
-patch size with the mean tiled into all four quadrants, so a mixed grid
-still renders at the original image size.
+to [0, 1]. Mixed patches keep their grid position. A mixed grid stores
+only each patch's quadrant mean, one (P/2, P/2, C) block per patch in a
+single array; quantize_mixed tiles the mean back into all four quadrants,
+so the exported grid still renders at the original image size.
 """
 
 from __future__ import annotations
@@ -44,21 +45,27 @@ class PermutationKey:
 class MixedGrid:
     """Grid of real-valued mixed patches, values in [0, 1].
 
-    Geometry mirrors PatchGrid; every patch is (patch_size, patch_size,
-    channels) float64 holding the quadrant mean tiled 2x2.
+    Geometry mirrors PatchGrid; ``patches`` is one (rows * cols,
+    patch_size / 2, patch_size / 2, channels) float64 array holding each
+    patch's quadrant mean, so ``patches[i]`` is patch i's distinct content.
     """
 
     rows: int
     cols: int
     patch_size: int
     channels: int
-    patches: tuple
+    patches: np.ndarray
 
     def __post_init__(self):
-        if len(self.patches) != self.rows * self.cols:
+        patches = np.asarray(self.patches, dtype=np.float64)
+        half = self.patch_size // 2
+        shape = (self.rows * self.cols, half, half, self.channels)
+        if self.patch_size % 2 or patches.shape != shape:
             raise GeometryError(
-                f"expected {self.rows * self.cols} patches, got {len(self.patches)}"
+                f"mixed patches have shape {patches.shape}, expected {shape} "
+                f"for patch_size {self.patch_size}"
             )
+        object.__setattr__(self, "patches", patches)
 
     @property
     def n_patches(self) -> int:
@@ -116,40 +123,35 @@ def rs_decrypt(grid: PatchGrid, key: PermutationKey) -> PatchGrid:
     )
 
 
-def _mix_patch(patch: np.ndarray) -> np.ndarray:
-    """Average the four quadrants of a real-valued patch and tile the mean."""
-    p = patch.shape[0]
-    half = p // 2
-    mean = 0.25 * (
-        patch[:half, :half]
-        + patch[:half, half:]
-        + patch[half:, :half]
-        + patch[half:, half:]
-    )
-    return np.tile(mean, (2, 2, 1))
-
-
-def mi_encrypt(grid: PatchGrid) -> MixedGrid:
-    """Mix each patch: quadrants scaled to [0, 1] and averaged elementwise.
-
-    Patch positions are preserved; only within-patch content is destroyed.
-    The mean is tiled back to full patch size.
-    """
+def _check_mixable(grid: PatchGrid) -> None:
     if grid.patch_size % 2:
         raise GeometryError(
             f"patch_size must be even for mixing, got {grid.patch_size}"
         )
     if grid.hole_count():
         raise GeometryError("cannot mix a grid with holes")
-    patches = tuple(
-        _mix_patch(p.astype(np.float64) / 255.0) for p in grid.patches
-    )
+
+
+def _quadrant_means(blocks: np.ndarray) -> np.ndarray:
+    """(N, P, P, C) uint8 patches -> (N, P/2, P/2, C) means scaled to [0, 1]."""
+    h = blocks.shape[1] // 2
+    q = [blocks[:, r : r + h, c : c + h].astype(np.float64) / 255.0
+         for r in (0, h) for c in (0, h)]
+    return 0.25 * (q[0] + q[1] + q[2] + q[3])
+
+
+def mi_encrypt(grid: PatchGrid) -> MixedGrid:
+    """Mix each patch: quadrants scaled to [0, 1] and averaged elementwise.
+
+    Patch positions are preserved; only within-patch content is destroyed.
+    """
+    _check_mixable(grid)
     return MixedGrid(
         rows=grid.rows,
         cols=grid.cols,
         patch_size=grid.patch_size,
         channels=grid.channels,
-        patches=patches,
+        patches=_quadrant_means(grid.stacked()),
     )
 
 
@@ -159,20 +161,13 @@ def rs_encrypt_mixed(grid: MixedGrid, key: PermutationKey) -> MixedGrid:
         raise KeyMismatchError(
             f"key is for {key.n} patches, grid has {grid.n_patches}"
         )
-    patches = tuple(grid.patches[key.perm[i]] for i in range(key.n))
     return MixedGrid(
         rows=grid.rows,
         cols=grid.cols,
         patch_size=grid.patch_size,
         channels=grid.channels,
-        patches=patches,
+        patches=grid.patches[np.asarray(key.perm)],
     )
-
-
-def mixed_values(patch: np.ndarray) -> np.ndarray:
-    """The distinct content of a tiled mixed patch: its top-left quadrant."""
-    half = patch.shape[0] // 2
-    return patch[:half, :half]
 
 
 def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
@@ -187,63 +182,45 @@ def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if grid.patch_size % 2:
-        raise GeometryError(
-            f"patch_size must be even for mixing, got {grid.patch_size}"
-        )
-    if grid.hole_count():
-        raise GeometryError("cannot mix a grid with holes")
+    _check_mixable(grid)
     master = SplitMix64(seed)
-    n = grid.n_patches
+    rows, cols, n = grid.rows, grid.cols, grid.n_patches
 
     key0 = gen_key(master.next_u64(), n)
-    shuffled = rs_encrypt(grid, key0)
-    state = [p.astype(np.float64) / 255.0 for p in shuffled.patches]
-    state = [_mix_patch(p) for p in state]
+    state = _quadrant_means(grid.stacked()[np.asarray(key0.perm)])
 
-    half = grid.patch_size // 2
-    sub_rows, sub_cols = 2 * grid.rows, 2 * grid.cols
+    # The four half-patch units of a mixed patch all hold its mean, so a
+    # round only gathers means: unit u of the (2 * rows, 2 * cols) sub-grid
+    # comes from patch src[u], and output patch (r, c) averages the units
+    # the sub-key sends to sub-grid cells (2r + dr, 2c + dc).
+    sub = np.arange(4 * n)
+    src = (sub // (2 * cols) // 2) * cols + (sub % (2 * cols)) // 2
     for _ in range(1, rounds):
         sub_key = gen_key(master.next_u64(), 4 * n)
-        units = []
-        for r in range(sub_rows):
-            for c in range(sub_cols):
-                patch = state[(r // 2) * grid.cols + (c // 2)]
-                units.append(
-                    patch[(r % 2) * half : (r % 2 + 1) * half,
-                          (c % 2) * half : (c % 2 + 1) * half]
-                )
-        units = [units[sub_key.perm[i]] for i in range(4 * n)]
-        new_state = []
-        for pr in range(grid.rows):
-            for pc in range(grid.cols):
-                quads = [
-                    units[(2 * pr + dr) * sub_cols + (2 * pc + dc)]
-                    for dr in (0, 1)
-                    for dc in (0, 1)
-                ]
-                mean = 0.25 * (quads[0] + quads[1] + quads[2] + quads[3])
-                new_state.append(np.tile(mean, (2, 2, 1)))
-        state = new_state
+        g = src[np.asarray(sub_key.perm)].reshape(rows, 2, cols, 2)
+        state = 0.25 * (
+            state[g[:, 0, :, 0]] + state[g[:, 0, :, 1]]
+            + state[g[:, 1, :, 0]] + state[g[:, 1, :, 1]]
+        ).reshape(state.shape)
 
     return MixedGrid(
-        rows=grid.rows,
-        cols=grid.cols,
+        rows=rows,
+        cols=cols,
         patch_size=grid.patch_size,
         channels=grid.channels,
-        patches=tuple(state),
+        patches=state,
     )
 
 
 def quantize_mixed(grid: MixedGrid) -> PatchGrid:
-    """Export a mixed grid as 8-bit patches (round half to even).
+    """Export a mixed grid as 8-bit patches (round half to even), each mean
+    tiled 2x2 back to full patch size.
 
     Only for producing a viewable image; all model-facing paths keep the
     real values.
     """
-    patches = tuple(
-        np.rint(np.clip(p, 0.0, 1.0) * 255.0).astype(np.uint8) for p in grid.patches
-    )
+    means = np.rint(np.clip(grid.patches, 0.0, 1.0) * 255.0).astype(np.uint8)
+    patches = tuple(np.tile(means, (1, 2, 2, 1)))
     return PatchGrid(
         rows=grid.rows,
         cols=grid.cols,

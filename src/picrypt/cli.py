@@ -197,7 +197,7 @@ def _cmd_attack_collision(args) -> int:
             f"patch ({args.row}, {args.col}) outside {mixed.rows}x{mixed.cols}"
         )
     idx = args.row * mixed.cols + args.col
-    target = cipher.mixed_values(mixed.patches[idx])
+    target = mixed.patches[idx]
     pre = attacks.mi_collision(target, args.seed, amplitude=args.amplitude)
     err = float(np.abs(np.mean(pre, axis=0) - target).max())
     trivial = all(np.array_equal(s, target) for s in pre)

@@ -20,7 +20,6 @@ from .cipher import (
     drop_patches,
     gen_key,
     mi_encrypt,
-    mixed_values,
     quantize_mixed,
     rs_encrypt,
     rs_encrypt_mixed,
@@ -266,11 +265,9 @@ def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.n
         grid = spn_encrypt(grid, rounds, rng.next_u64())
 
     if kind in ("none", "rs"):
-        rowsv = [p.reshape(-1).astype(np.float64) / 255.0
-                 for p in grid.patches if p is not HOLE]
-    else:
-        rowsv = [mixed_values(p).reshape(-1) for p in grid.patches]
-    return np.stack(rowsv)
+        return np.stack([p.reshape(-1).astype(np.float64) / 255.0
+                         for p in grid.patches if p is not HOLE])
+    return grid.patches.reshape(grid.n_patches, -1)
 
 
 class Adam:
@@ -389,7 +386,7 @@ def predictions(params: dict, cfg: TrainConfig, images: np.ndarray,
     out = np.empty(images.shape[0], dtype=np.int64)
     for i in range(images.shape[0]):
         x = image_vectors(images[i], cfg, rng)
-        out[i] = int(np.argmax(fwd(params, cfg.model, x).data))
+        out[i] = pevit.top_class(fwd(params, cfg.model, x).data)
     return out
 
 

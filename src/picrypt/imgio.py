@@ -23,7 +23,12 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8:
+            # a bare cast would wrap 300 to 44 and -1.7 to 255
+            if not np.all((px >= 0) & (px <= 255) & (px == np.rint(px))):
+                raise GeometryError("pixels must be integers in [0, 255]")
+            px = px.astype(np.uint8)
         if px.ndim != 3:
             raise GeometryError(f"pixels must be HxWxC, got shape {px.shape}")
         if px.shape[2] not in (1, 3):
@@ -77,6 +82,12 @@ class PatchGrid:
 
     def hole_count(self) -> int:
         return sum(1 for p in self.patches if p is HOLE)
+
+    def stacked(self) -> np.ndarray:
+        """The patches of a hole-free grid as one (n_patches, P, P, C) array."""
+        return np.concatenate(self.patches).reshape(
+            self.n_patches, self.patch_size, self.patch_size, self.channels
+        )
 
 
 def _read_token(data: bytes, pos: int, field: str):
@@ -174,18 +185,21 @@ def split_patches(img: Image, patch_size: int, interval: int = 0) -> PatchGrid:
     stride = patch_size + interval
     rows = (h - patch_size) // stride + 1
     cols = (w - patch_size) // stride + 1
-    patches = []
-    for r in range(rows):
-        for c in range(cols):
-            y, x = r * stride, c * stride
-            patches.append(img.pixels[y : y + patch_size, x : x + patch_size].copy())
+    windows = np.lib.stride_tricks.sliding_window_view(
+        img.pixels, (patch_size, patch_size), axis=(0, 1)
+    )[::stride, ::stride]
+    # copy before the reshape: on 1xk and kx1 grids a bare reshape is a view
+    # of the caller's pixels, and the grid must not alias them
+    blocks = windows.transpose(0, 1, 3, 4, 2).copy().reshape(
+        rows * cols, patch_size, patch_size, img.channels
+    )
     return PatchGrid(
         rows=rows,
         cols=cols,
         patch_size=patch_size,
         channels=img.channels,
         interval=interval,
-        patches=tuple(patches),
+        patches=tuple(blocks),
     )
 
 
@@ -202,13 +216,10 @@ def assemble(grid: PatchGrid) -> Image:
     if grid.hole_count():
         raise GeometryError(f"cannot assemble a grid with {grid.hole_count()} holes")
     p = grid.patch_size
-    out = np.empty(
-        (grid.rows * p, grid.cols * p, grid.channels), dtype=np.uint8
-    )
-    for i, patch in enumerate(grid.patches):
-        r, c = divmod(i, grid.cols)
-        out[r * p : (r + 1) * p, c * p : (c + 1) * p] = patch
-    return Image(pixels=out)
+    blocks = grid.stacked().reshape(grid.rows, grid.cols, p, p, grid.channels)
+    return Image(pixels=blocks.transpose(0, 2, 1, 3, 4).reshape(
+        grid.rows * p, grid.cols * p, grid.channels
+    ))
 
 
 def split_subpatches(patch: np.ndarray):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import MixedGrid, mixed_values
+from .cipher import MixedGrid
 from .errors import ConfigError, ShapeError
 from .pevit import encoder_block
 from .tensor import Tensor, add, concat_rows, gelu, matmul
@@ -76,8 +76,8 @@ def mi_patch_embed(params: dict, x: np.ndarray) -> Tensor:
 
 
 def grid_vectors(grid: MixedGrid) -> np.ndarray:
-    """Flatten each mixed patch's distinct quadrant into an (N, sub_dim) matrix."""
-    return np.stack([mixed_values(p).reshape(-1) for p in grid.patches])
+    """Flatten each mixed patch's quadrant mean into an (N, sub_dim) matrix."""
+    return grid.patches.reshape(grid.n_patches, -1)
 
 
 def build_det_sequence(params: dict, cfg: DetConfig, grid: MixedGrid) -> Tensor:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
     Tensor,
     add,
@@ -198,8 +198,15 @@ def loss_fn(params: dict, cfg: ModelConfig, patches: np.ndarray, label: int) -> 
     return cross_entropy(forward(params, cfg, patches), label)
 
 
+def top_class(logits: np.ndarray) -> int:
+    """Index of the largest logit; non-finite logits have no prediction."""
+    if not np.all(np.isfinite(logits)):
+        raise DataError("logits are not all finite (NaN or inf in the input or weights)")
+    return int(np.argmax(logits))
+
+
 def predict(params: dict, cfg: ModelConfig, patches: np.ndarray) -> int:
-    return int(np.argmax(forward(params, cfg, patches).data))
+    return top_class(forward(params, cfg, patches).data)
 
 
 def export_attention(params: dict, cfg: ModelConfig, patches: np.ndarray) -> list:

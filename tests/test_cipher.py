@@ -16,7 +16,6 @@ from picrypt.cipher import (
     keyspace,
     load_key,
     mi_encrypt,
-    mixed_values,
     quantize_mixed,
     rs_encrypt,
     rs_decrypt,
@@ -160,7 +159,8 @@ def test_mi_idempotent_on_identical_quadrants():
     grid = PatchGrid(rows=1, cols=1, patch_size=6, channels=3, interval=0,
                      patches=(patch,))
     mixed = mi_encrypt(grid)
-    assert np.max(np.abs(mixed_values(mixed.patches[0]) - q / 255.0)) < 1e-15
+    assert mixed.patches[0].shape == q.shape
+    assert np.max(np.abs(mixed.patches[0] - q / 255.0)) < 1e-15
 
 
 def test_mi_invariant_to_subpatch_order():
@@ -213,15 +213,31 @@ def test_mi_commutes_with_rs():
 
 
 def test_mixed_patch_tiles_its_quadrant():
+    # the exported 8-bit grid tiles each quantized mean into all four quadrants
     rng = np.random.default_rng(10)
     mixed = mi_encrypt(rand_grid(rng))
-    p = mixed.patches[0]
-    h = p.shape[0] // 2
-    v = mixed_values(p)
-    assert np.array_equal(p[:h, :h], v)
-    assert np.array_equal(p[:h, h:], v)
-    assert np.array_equal(p[h:, :h], v)
-    assert np.array_equal(p[h:, h:], v)
+    out = quantize_mixed(mixed)
+    h = mixed.patch_size // 2
+    for m, p in zip(mixed.patches, out.patches):
+        v = np.rint(m * 255.0).astype(np.uint8)
+        assert p.shape == (2 * h, 2 * h, mixed.channels)
+        assert np.array_equal(p[:h, :h], v)
+        assert np.array_equal(p[:h, h:], v)
+        assert np.array_equal(p[h:, :h], v)
+        assert np.array_equal(p[h:, h:], v)
+
+
+def test_mixed_grid_checks_patch_array_shape():
+    ok = MixedGrid(rows=1, cols=2, patch_size=4, channels=3,
+                   patches=np.zeros((2, 2, 2, 3)))
+    assert ok.patches.dtype == np.float64
+    for patch_size, shape in ((4, (2, 4, 4, 3)),   # full-size tiles
+                              (4, (3, 2, 2, 3)),   # wrong count
+                              (4, (2, 2, 2, 1)),   # wrong channels
+                              (5, (2, 2, 2, 3))):  # odd patch size
+        with pytest.raises(GeometryError):
+            MixedGrid(rows=1, cols=2, patch_size=patch_size, channels=3,
+                      patches=np.zeros(shape))
 
 
 # ---------------------------------------------------------------- spn
@@ -236,6 +252,46 @@ def test_spn_single_round_is_rs_then_mi():
     ref = mi_encrypt(rs_encrypt(g, k0))
     for a, b in zip(out.patches, ref.patches):
         assert np.array_equal(a, b)
+
+
+def spn_reference(grid, rounds, seed):
+    """Per-unit SPN on full-size tiled patches; returns each patch's mean."""
+    master = SplitMix64(seed)
+    n, half = grid.n_patches, grid.patch_size // 2
+    key0 = gen_key(master.next_u64(), n)
+    state = []
+    for i in range(n):
+        p = grid.patches[key0.perm[i]].astype(np.float64) / 255.0
+        mean = 0.25 * (p[:half, :half] + p[:half, half:] + p[half:, :half] + p[half:, half:])
+        state.append(np.tile(mean, (2, 2, 1)))
+    sub_cols = 2 * grid.cols
+    for _ in range(1, rounds):
+        sub_key = gen_key(master.next_u64(), 4 * n)
+        units = []
+        for r in range(2 * grid.rows):
+            for c in range(sub_cols):
+                patch = state[(r // 2) * grid.cols + c // 2]
+                units.append(patch[(r % 2) * half:(r % 2 + 1) * half,
+                                   (c % 2) * half:(c % 2 + 1) * half])
+        units = [units[sub_key.perm[i]] for i in range(4 * n)]
+        state = []
+        for pr in range(grid.rows):
+            for pc in range(grid.cols):
+                q = [units[(2 * pr + dr) * sub_cols + 2 * pc + dc]
+                     for dr in (0, 1) for dc in (0, 1)]
+                state.append(np.tile(0.25 * (q[0] + q[1] + q[2] + q[3]), (2, 2, 1)))
+    return np.stack([p[:half, :half] for p in state])
+
+
+def test_spn_matches_per_unit_reference():
+    rng = np.random.default_rng(14)
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (2, 3), (3, 3)):
+        for ps, c in ((2, 1), (4, 3), (8, 1)):
+            g = rand_grid(rng, rows=rows, cols=cols, ps=ps, c=c)
+            for rounds in (1, 2, 4):
+                seed = int(rng.integers(0, 2**63))
+                out = spn_encrypt(g, rounds, seed)
+                assert np.array_equal(out.patches, spn_reference(g, rounds, seed))
 
 
 def test_spn_deterministic():
@@ -269,11 +325,11 @@ def test_spn_more_rounds_flatten_patch_means():
 
 
 def test_quantize_mixed_rounds_half_even():
-    grid = MixedGrid(rows=1, cols=1, patch_size=2, channels=1,
-                     patches=(np.array([[[0.5 / 255], [1.5 / 255]],
-                                        [[2.5 / 255], [1.0]]]),))
+    grid = MixedGrid(rows=1, cols=1, patch_size=4, channels=1,
+                     patches=np.array([[[[0.5 / 255], [1.5 / 255]],
+                                        [[2.5 / 255], [1.0]]]]))
     q = quantize_mixed(grid)
-    assert q.patches[0].reshape(-1).tolist() == [0, 2, 2, 255]
+    assert q.patches[0][:2, :2].reshape(-1).tolist() == [0, 2, 2, 255]
 
 
 # ---------------------------------------------------------------- keyspace

@@ -6,7 +6,7 @@ import pytest
 import picrypt.cipher
 from picrypt.cli import run
 from picrypt.imgio import Image, load_ppm, save_ppm
-from picrypt.tensor import Tensor, save_checkpoint
+from picrypt.tensor import Tensor, load_checkpoint, save_checkpoint
 
 TINY_CFG = (
     "data.image_size = 32\ndata.classes = 2\ndata.train_per_class = 2\n"
@@ -213,6 +213,19 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:20])
     assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def test_eval_nan_weight_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    ckpt = tmp_path / "model.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+    params = load_checkpoint(ckpt)
+    params["head.b"].data[0, 1] = np.nan
+    save_checkpoint(ckpt, params)
+    capsys.readouterr()
+    assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_train_bad_config_key_is_data_error(tmp_path, capsys):

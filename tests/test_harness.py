@@ -290,6 +290,18 @@ def test_untrained_model_near_chance():
     assert acc <= 0.3, f"untrained accuracy {acc} suspiciously high"
 
 
+def test_predictions_reject_non_finite_logits():
+    # np.argmax would silently call a NaN row class 0
+    spec = SynthSpec(image_size=32, classes=2, train_per_class=1,
+                     test_per_class=0, seed=1)
+    d = gen_dataset(spec)
+    cfg = tiny_cfg()
+    params = pevit.init_params(TINY_MODEL, seed=0)
+    params["head.w"].data[0, 0] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        predictions(params, cfg, d.train_x)
+
+
 def test_accuracy_identical_across_shuffle_seeds():
     spec = SynthSpec(image_size=32, classes=2, train_per_class=4,
                      test_per_class=0, seed=1)

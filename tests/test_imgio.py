@@ -107,6 +107,20 @@ def test_garbage_dimension_rejected(tmp_path):
         load_ppm(p)
 
 
+def test_image_rejects_wrapping_values():
+    # a bare uint8 cast would turn 300 into 44 and -1.7 into 255
+    for bad in (300, -1.7, 2.5, np.nan, np.inf):
+        with pytest.raises(GeometryError, match=r"\[0, 255\]"):
+            Image(pixels=np.full((2, 2, 1), bad))
+
+
+def test_image_accepts_integral_values_of_any_dtype():
+    for dtype in (np.int64, np.float64, np.uint16):
+        img = Image(pixels=np.array([[[0], [255]], [[7], [128]]], dtype=dtype))
+        assert img.pixels.dtype == np.uint8
+        assert img.pixels.reshape(-1).tolist() == [0, 255, 7, 128]
+
+
 # ---------------------------------------------------------------- grids
 
 
@@ -149,6 +163,18 @@ def test_split_matches_corner_enumeration():
         assert grid.n_patches == len(corners)
         for patch, (r, c) in zip(grid.patches, corners):
             assert np.array_equal(patch, img.pixels[r:r + ps, c:c + ps])
+
+
+def test_split_grid_does_not_alias_source_pixels():
+    # 1x1, 1xk and kx1 grids are where a reshape of the pixels is a view
+    for h, w, ps, k in [(4, 4, 4, 0), (4, 12, 4, 0), (12, 4, 4, 0),
+                        (5, 13, 4, 1), (13, 5, 4, 1), (6, 6, 3, 2)]:
+        px = np.arange(h * w * 3, dtype=np.uint8).reshape(h, w, 3)
+        grid = split_patches(Image(pixels=px), ps, k)
+        before = [p.copy() for p in grid.patches]
+        px[...] = 255 - px
+        for p, b in zip(grid.patches, before):
+            assert np.array_equal(p, b), f"grid aliases pixels at {h}x{w}"
 
 
 def test_split_rejects_indivisible_when_contiguous():
