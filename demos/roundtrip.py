@@ -5,6 +5,9 @@ shuffle its patches with a seeded key, check nothing survives visually
 (patch means move around), then invert and compare byte for byte.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from picrypt.cipher import (
@@ -37,8 +40,9 @@ def main():
     print(f"keyspace({grid.n_patches}) = {keyspace(grid.n_patches)}")
 
     key = gen_key(2024, grid.n_patches)
-    save_key(key, "/tmp/demo.key")
-    key = load_key("/tmp/demo.key")  # roundtrips through the text format
+    with tempfile.TemporaryDirectory() as tmp:
+        save_key(key, Path(tmp) / "demo.key")
+        key = load_key(Path(tmp) / "demo.key")  # roundtrips through the text format
     print(f"key perm = {list(key.perm)}")
 
     enc = rs_encrypt(grid, key)

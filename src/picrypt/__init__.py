@@ -11,14 +11,15 @@ from .cipher import (
     MixedGrid,
     PermutationKey,
     drop_patches,
+    encrypt,
     gen_key,
     keyspace,
     load_key,
     mi_encrypt,
+    parse_mode,
     quantize_mixed,
     rs_decrypt,
     rs_encrypt,
-    rs_encrypt_mixed,
     save_key,
     spn_encrypt,
 )
@@ -32,7 +33,6 @@ from .errors import (
     ShapeError,
 )
 from .imgio import (
-    HOLE,
     Image,
     PatchGrid,
     assemble,
@@ -50,7 +50,6 @@ __all__ = [
     "DataError",
     "DecodeError",
     "GeometryError",
-    "HOLE",
     "Image",
     "KeyMismatchError",
     "MixedGrid",
@@ -60,16 +59,17 @@ __all__ = [
     "ShapeError",
     "assemble",
     "drop_patches",
+    "encrypt",
     "gen_key",
     "join_subpatches",
     "keyspace",
     "load_key",
     "load_ppm",
     "mi_encrypt",
+    "parse_mode",
     "quantize_mixed",
     "rs_decrypt",
     "rs_encrypt",
-    "rs_encrypt_mixed",
     "save_key",
     "save_ppm",
     "split_patches",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, ShapeError
-from .imgio import HOLE
 from .rng import SplitMix64
 
 # relation ranks used by the solver's tie-breaking, in pinned order
@@ -116,15 +115,17 @@ def _dissimilarity_tables(patches: np.ndarray):
 _NEIGHBORS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
-def jigsaw_solve(patches, rows: int, cols: int) -> Arrangement:
+def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
     """Greedy kernel-growing placement of shuffled patches.
 
+    ``patches`` is an (N, P, P, C) array (or a list of patches); patches
+    marked in the optional (N,) bool mask ``holes`` are never placed.
     Seeds with the globally minimal dissimilarity pair, then repeatedly
     places the unplaced patch with the smallest dissimilarity summed over
     its already-placed neighbors, keeping the kernel's bounding box within
     rows x cols. Ties break by lower patch index, then relation order
     right/below/left/above, then slot coordinates, so results are
-    deterministic. Holes in the input are simply never placed.
+    deterministic.
 
     Each frontier slot keeps its best (score, patch, relation, slot) key
     between placements. A placement rescores only the empty slots next to
@@ -133,13 +134,19 @@ def jigsaw_solve(patches, rows: int, cols: int) -> Arrangement:
     rather than O(n^2 * frontier); flat inputs, where every slot wants the
     same patch, still rescore the whole frontier.
     """
-    idx_map = [i for i, p in enumerate(patches) if p is not HOLE]
+    patches = np.asarray(patches)
+    if holes is None:
+        idx_map = list(range(len(patches)))
+    else:
+        idx_map = np.flatnonzero(~np.asarray(holes, dtype=bool)).tolist()
     n = len(idx_map)
     if n > rows * cols:
         raise GeometryError(f"{n} patches cannot fit {rows}x{cols} slots")
     if n == 0:
         return Arrangement(rows=rows, cols=cols, placement={})
-    stack = np.stack([_norm_patch(patches[i]) for i in idx_map])
+    stack = patches[idx_map].astype(np.float64)
+    if patches.dtype == np.uint8:  # the scaling of _norm_patch, all at once
+        stack /= 255.0
     if n == 1:
         return Arrangement(rows=rows, cols=cols, placement={(0, 0): idx_map[0]})
 

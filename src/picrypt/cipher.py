@@ -7,20 +7,28 @@ to [0, 1]. Mixed patches keep their grid position. A mixed grid stores
 only each patch's quadrant mean, one (P/2, P/2, C) block per patch in a
 single array; quantize_mixed tiles the mean back into all four quadrants,
 so the exported grid still renders at the original image size.
+
+An encryption setting names one pipeline: ``none``, ``rs``, ``mi``,
+``rs+mi`` (shuffle, then mix), ``mi+rs`` (mix, then shuffle) or
+``spn:<rounds>``. parse_mode is the only parser of these strings and
+encrypt the only place that runs them.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, KeyMismatchError
-from .imgio import HOLE, PatchGrid
+from .errors import ConfigError, GeometryError, KeyMismatchError
+from .imgio import PatchGrid
 from .rng import SplitMix64
 
 KEY_MAGIC = "PICRYPT-KEY 1"
+
+MODES = ("none", "rs", "mi", "rs+mi", "mi+rs")
 
 
 @dataclass(frozen=True)
@@ -88,39 +96,29 @@ def gen_key(seed: int, n: int) -> PermutationKey:
     return PermutationKey(n=n, perm=tuple(perm), seed=seed)
 
 
-def rs_encrypt(grid: PatchGrid, key: PermutationKey) -> PatchGrid:
-    """Shuffle patches: output position i receives input patch perm[i]."""
+def _permute(grid, key: PermutationKey, order: np.ndarray):
+    """``grid`` (a PatchGrid or a MixedGrid) with output position i holding
+    input patch order[i]; holes move with their patches."""
     if key.n != grid.n_patches:
         raise KeyMismatchError(
             f"key is for {key.n} patches, grid has {grid.n_patches}"
         )
-    patches = tuple(grid.patches[key.perm[i]] for i in range(key.n))
-    return PatchGrid(
-        rows=grid.rows,
-        cols=grid.cols,
-        patch_size=grid.patch_size,
-        channels=grid.channels,
-        interval=grid.interval,
-        patches=patches,
-    )
+    if isinstance(grid, MixedGrid):
+        return dataclasses.replace(grid, patches=grid.patches[order])
+    return dataclasses.replace(grid, patches=grid.patches[order], holes=grid.holes[order])
 
 
-def rs_decrypt(grid: PatchGrid, key: PermutationKey) -> PatchGrid:
+def rs_encrypt(grid, key: PermutationKey):
+    """Shuffle patches: output position i receives input patch perm[i].
+
+    Works on a PatchGrid and on a MixedGrid alike.
+    """
+    return _permute(grid, key, np.asarray(key.perm))
+
+
+def rs_decrypt(grid, key: PermutationKey):
     """Exact inverse of rs_encrypt for the same key."""
-    if key.n != grid.n_patches:
-        raise KeyMismatchError(
-            f"key is for {key.n} patches, grid has {grid.n_patches}"
-        )
-    inv = key.inverse()
-    patches = tuple(grid.patches[inv[i]] for i in range(key.n))
-    return PatchGrid(
-        rows=grid.rows,
-        cols=grid.cols,
-        patch_size=grid.patch_size,
-        channels=grid.channels,
-        interval=grid.interval,
-        patches=patches,
-    )
+    return _permute(grid, key, key.inverse())
 
 
 def _check_mixable(grid: PatchGrid) -> None:
@@ -151,22 +149,7 @@ def mi_encrypt(grid: PatchGrid) -> MixedGrid:
         cols=grid.cols,
         patch_size=grid.patch_size,
         channels=grid.channels,
-        patches=_quadrant_means(grid.stacked()),
-    )
-
-
-def rs_encrypt_mixed(grid: MixedGrid, key: PermutationKey) -> MixedGrid:
-    """Shuffle mixed patches with the same convention as rs_encrypt."""
-    if key.n != grid.n_patches:
-        raise KeyMismatchError(
-            f"key is for {key.n} patches, grid has {grid.n_patches}"
-        )
-    return MixedGrid(
-        rows=grid.rows,
-        cols=grid.cols,
-        patch_size=grid.patch_size,
-        channels=grid.channels,
-        patches=grid.patches[np.asarray(key.perm)],
+        patches=_quadrant_means(grid.patches),
     )
 
 
@@ -187,7 +170,7 @@ def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
     rows, cols, n = grid.rows, grid.cols, grid.n_patches
 
     key0 = gen_key(master.next_u64(), n)
-    state = _quadrant_means(grid.stacked()[np.asarray(key0.perm)])
+    state = _quadrant_means(grid.patches[np.asarray(key0.perm)])
 
     # The four half-patch units of a mixed patch all hold its mean, so a
     # round only gathers means: unit u of the (2 * rows, 2 * cols) sub-grid
@@ -220,15 +203,59 @@ def quantize_mixed(grid: MixedGrid) -> PatchGrid:
     real values.
     """
     means = np.rint(np.clip(grid.patches, 0.0, 1.0) * 255.0).astype(np.uint8)
-    patches = tuple(np.tile(means, (1, 2, 2, 1)))
     return PatchGrid(
         rows=grid.rows,
         cols=grid.cols,
         patch_size=grid.patch_size,
         channels=grid.channels,
         interval=0,
-        patches=patches,
+        patches=np.tile(means, (1, 2, 2, 1)),
     )
+
+
+def parse_mode(setting: str) -> tuple:
+    """Parse an encryption setting into (kind, spn_rounds).
+
+    ``kind`` is one of MODES with rounds 0, or ``"spn"`` for
+    ``spn:<rounds>`` with rounds >= 1; anything else raises ConfigError.
+    """
+    if setting in MODES:
+        return setting, 0
+    if setting.startswith("spn:"):
+        try:
+            rounds = int(setting[4:])
+        except ValueError:
+            raise ConfigError(f"bad spn rounds in {setting!r}") from None
+        if rounds < 1:
+            raise ConfigError(f"spn rounds must be >= 1, got {rounds}")
+        return "spn", rounds
+    raise ConfigError(
+        f"unknown encryption setting {setting!r}; "
+        f"expected one of {MODES} or spn:<rounds>"
+    )
+
+
+def encrypt(grid: PatchGrid, setting: str, draw_seed):
+    """Run the encryption ``setting`` (see parse_mode) on ``grid``.
+
+    ``draw_seed()`` returns the key seed. It is called exactly once for
+    rs, rs+mi, mi+rs and spn, and never for none or mi, so callers that
+    draw seeds off one stream see the same keys for every later image.
+    Returns a PatchGrid for none and rs, and a MixedGrid otherwise.
+    """
+    kind, rounds = parse_mode(setting)
+    if kind == "none":
+        return grid
+    if kind == "mi":
+        return mi_encrypt(grid)
+    if kind == "spn":
+        return spn_encrypt(grid, rounds, draw_seed())
+    key = gen_key(draw_seed(), grid.n_patches)
+    if kind == "rs":
+        return rs_encrypt(grid, key)
+    if kind == "rs+mi":
+        return mi_encrypt(rs_encrypt(grid, key))
+    return rs_encrypt(mi_encrypt(grid), key)
 
 
 def keyspace(n: int) -> int:
@@ -244,6 +271,7 @@ def drop_patches(grid: PatchGrid, ratio: float, seed: int) -> PatchGrid:
     Hole positions come from a partial Fisher-Yates draw on a SplitMix64
     stream seeded with ``seed``: position k swaps index k with a uniform
     pick from [k, n), and the first floor(ratio * n) indices become holes.
+    A hole's pixels are zeroed, so no dropped byte stays in the grid.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"ratio must be in [0, 1), got {ratio}")
@@ -256,18 +284,11 @@ def drop_patches(grid: PatchGrid, ratio: float, seed: int) -> PatchGrid:
     for i in range(k):
         j = i + rng.next_below(n - i)
         idx[i], idx[j] = idx[j], idx[i]
-    holes = set(idx[:k])
-    patches = tuple(
-        HOLE if i in holes else p for i, p in enumerate(grid.patches)
-    )
-    return PatchGrid(
-        rows=grid.rows,
-        cols=grid.cols,
-        patch_size=grid.patch_size,
-        channels=grid.channels,
-        interval=grid.interval,
-        patches=patches,
-    )
+    holes = grid.holes.copy()
+    holes[idx[:k]] = True
+    patches = grid.patches.copy()
+    patches[holes] = 0
+    return dataclasses.replace(grid, patches=patches, holes=holes)
 
 
 def save_key(key: PermutationKey, path) -> None:

@@ -107,38 +107,22 @@ def _build_parser() -> _Parser:
 
 def _parse_mode(mode: str):
     try:
-        return harness._enc_mode(mode)
+        return cipher.parse_mode(mode)
     except PicryptError as e:
         raise _UsageError(str(e)) from None
 
 
 def _cmd_encrypt(args) -> int:
-    kind, rounds = _parse_mode(args.mode)
-    if args.key and args.mode != "rs":
+    kind, _ = _parse_mode(args.mode)
+    if args.key and kind != "rs":
         raise _UsageError("--key is only meaningful with --mode rs")
-    img = imgio.load_ppm(args.infile)
-    if args.mode == "none":
-        imgio.save_ppm(img, args.out)
-        return 0
-    rng_seed = args.seed
-    grid = imgio.split_patches(img, args.patch, 0)
-    if kind == "rs":
-        key = cipher.gen_key(rng_seed, grid.n_patches)
-        out = cipher.rs_encrypt(grid, key)
-        if args.key:
-            cipher.save_key(key, args.key)
-    elif kind == "mi":
-        out = cipher.quantize_mixed(cipher.mi_encrypt(grid))
-    elif kind == "rs+mi":
-        key = cipher.gen_key(rng_seed, grid.n_patches)
-        out = cipher.quantize_mixed(cipher.mi_encrypt(cipher.rs_encrypt(grid, key)))
-    elif kind == "mi+rs":
-        key = cipher.gen_key(rng_seed, grid.n_patches)
-        out = cipher.quantize_mixed(
-            cipher.rs_encrypt_mixed(cipher.mi_encrypt(grid), key)
-        )
-    else:
-        out = cipher.quantize_mixed(cipher.spn_encrypt(grid, rounds, rng_seed))
+    grid = imgio.split_patches(imgio.load_ppm(args.infile), args.patch, 0)
+    # --seed is the key seed itself, not the seed of a key stream
+    out = cipher.encrypt(grid, args.mode, lambda: args.seed)
+    if isinstance(out, cipher.MixedGrid):
+        out = cipher.quantize_mixed(out)
+    if args.key:
+        cipher.save_key(cipher.gen_key(args.seed, grid.n_patches), args.key)
     imgio.save_ppm(imgio.assemble(out), args.out)
     return 0
 

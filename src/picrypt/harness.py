@@ -17,16 +17,16 @@ import numpy as np
 from . import pevit
 from .attacks import Arrangement, jigsaw_solve, puzzle_metrics
 from .cipher import (
+    MixedGrid,
     drop_patches,
+    encrypt,
     gen_key,
-    mi_encrypt,
+    parse_mode,
     quantize_mixed,
     rs_encrypt,
-    rs_encrypt_mixed,
-    spn_encrypt,
 )
 from .errors import ConfigError, DataError
-from .imgio import HOLE, Image, assemble, split_patches
+from .imgio import Image, assemble, split_patches
 from .pevit import ModelConfig, _plain_ln, _row0, encoder_block
 from .rng import SplitMix64
 from .tensor import (
@@ -49,8 +49,6 @@ PALETTE = (
 )
 
 MARKER_SIZE = 8
-
-ENC_MODES = ("none", "rs", "mi", "rs+mi", "mi+rs")
 
 
 @dataclass(frozen=True)
@@ -209,30 +207,12 @@ class TrainConfig:
             raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
         if self.interval < 0:
             raise ConfigError(f"interval must be >= 0, got {self.interval}")
-        _enc_mode(self.encryption)
-
-
-def _enc_mode(setting: str):
-    """Parse an encryption setting into (kind, spn_rounds)."""
-    if setting in ENC_MODES:
-        return setting, 0
-    if setting.startswith("spn:"):
-        try:
-            rounds = int(setting[4:])
-        except ValueError:
-            raise ConfigError(f"bad spn rounds in {setting!r}") from None
-        if rounds < 1:
-            raise ConfigError(f"spn rounds must be >= 1, got {rounds}")
-        return "spn", rounds
-    raise ConfigError(
-        f"unknown encryption setting {setting!r}; "
-        f"expected one of {ENC_MODES} or spn:<rounds>"
-    )
+        parse_mode(self.encryption)
 
 
 def expected_patch_dim(patch_size: int, channels: int, encryption: str) -> int:
     """Width of one model token for the given encryption setting."""
-    kind, _ = _enc_mode(encryption)
+    kind, _ = parse_mode(encryption)
     if kind in ("none", "rs"):
         return patch_size * patch_size * channels
     return (patch_size // 2) ** 2 * channels
@@ -244,30 +224,16 @@ def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.n
     Key material is drawn from ``rng``, so consecutive calls see fresh
     permutations — the per-sample shuffle the training recipe requires.
     """
-    kind, rounds = _enc_mode(cfg.encryption)
     grid = split_patches(Image(pixels=pixels), cfg.patch_size, cfg.interval)
     if cfg.drop_ratio > 0.0:
-        if kind not in ("none", "rs"):
+        if parse_mode(cfg.encryption)[0] not in ("none", "rs"):
             raise ConfigError("drop_ratio is only supported for none/rs settings")
         grid = drop_patches(grid, cfg.drop_ratio, rng.next_u64())
-    if kind == "none":
-        pass
-    elif kind == "rs":
-        grid = rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches))
-    elif kind == "mi":
-        grid = mi_encrypt(grid)
-    elif kind == "rs+mi":
-        grid = mi_encrypt(rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches)))
-    elif kind == "mi+rs":
-        grid = rs_encrypt_mixed(mi_encrypt(grid),
-                                gen_key(rng.next_u64(), grid.n_patches))
-    else:
-        grid = spn_encrypt(grid, rounds, rng.next_u64())
-
-    if kind in ("none", "rs"):
-        return np.stack([p.reshape(-1).astype(np.float64) / 255.0
-                         for p in grid.patches if p is not HOLE])
-    return grid.patches.reshape(grid.n_patches, -1)
+    grid = encrypt(grid, cfg.encryption, rng.next_u64)
+    if isinstance(grid, MixedGrid):
+        return grid.patches.reshape(grid.n_patches, -1)
+    kept = grid.patches[~grid.holes]
+    return kept.reshape(len(kept), -1).astype(np.float64) / 255.0
 
 
 class Adam:
@@ -334,7 +300,7 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
             x = image_vectors(data.train_x[img_i], cfg, key_rng)
             label = int(data.train_y[img_i])
             logits = pevit.forward(params, cfg.model, x)
-            if int(np.argmax(logits.data)) == label:
+            if pevit.top_class(logits.data) == label:
                 correct += 1
             loss = cross_entropy(logits, label)
             total_loss += float(loss.data)
@@ -358,6 +324,8 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
             "accuracy": correct / n,
         })
     if checkpoint is not None:
+        if not all(np.isfinite(p.data).all() for p in params.values()):
+            raise DataError("trained weights are not all finite; no checkpoint written")
         save_checkpoint(checkpoint, params)
     return params, history
 
@@ -477,27 +445,13 @@ def white_marker_count(pixels: np.ndarray) -> int:
 
 def encrypt_pixels(pixels: np.ndarray, encryption: str, patch_size: int,
                    rng: SplitMix64) -> np.ndarray:
-    """Encrypt and reassemble an image back to pixels (interval 0 only)."""
-    kind, rounds = _enc_mode(encryption)
-    if kind == "none":
-        return pixels.copy()
-    grid = split_patches(Image(pixels=pixels), patch_size, 0)
-    if kind == "rs":
-        out = rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches))
-    elif kind == "mi":
-        out = quantize_mixed(mi_encrypt(grid))
-    elif kind == "rs+mi":
-        out = quantize_mixed(
-            mi_encrypt(rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches)))
-        )
-    elif kind == "mi+rs":
-        out = quantize_mixed(
-            rs_encrypt_mixed(mi_encrypt(grid),
-                             gen_key(rng.next_u64(), grid.n_patches))
-        )
-    else:
-        out = quantize_mixed(spn_encrypt(grid, rounds, rng.next_u64()))
-    return assemble(out).pixels
+    """Encrypt and reassemble an image back to pixels (interval 0 only);
+    mixed grids are exported through quantize_mixed."""
+    grid = encrypt(split_patches(Image(pixels=pixels), patch_size, 0),
+                   encryption, rng.next_u64)
+    if isinstance(grid, MixedGrid):
+        grid = quantize_mixed(grid)
+    return assemble(grid).pixels
 
 
 def leakage_ratio(detector, corpus, encryption: str, patch_size: int = 16,
@@ -518,18 +472,20 @@ def leakage_ratio(detector, corpus, encryption: str, patch_size: int = 16,
 # solver experiments and sweeps
 
 
-def truth_for_key(key, rows: int, cols: int, encrypted_patches) -> Arrangement:
-    """Ground-truth arrangement of an RS-shuffled patch list.
+def truth_for_key(key, rows: int, cols: int, encrypted_patches, *,
+                  holes=None) -> Arrangement:
+    """Ground-truth arrangement of RS-shuffled patches.
 
-    Position i of the encrypted list holds original patch key.perm[i], whose
-    true slot is its row-major position in the original grid.
+    Position i of the encrypted patches holds original patch key.perm[i],
+    whose true slot is its row-major position in the original grid.
+    Positions marked in ``holes`` are left out.
     """
+    n = len(encrypted_patches)
+    kept = range(n) if holes is None else np.flatnonzero(~np.asarray(holes, dtype=bool))
     placement = {}
-    for i, p in enumerate(encrypted_patches):
-        if p is HOLE:
-            continue
+    for i in kept:
         orig = key.perm[i]
-        placement[(orig // cols, orig % cols)] = i
+        placement[(orig // cols, orig % cols)] = int(i)
     return Arrangement(rows=rows, cols=cols, placement=placement)
 
 
@@ -542,8 +498,8 @@ def solve_image(pixels: np.ndarray, patch_size: int, interval: int,
         grid = drop_patches(grid, drop_ratio, rng.next_u64())
     key = gen_key(rng.next_u64(), grid.n_patches)
     enc = rs_encrypt(grid, key)
-    found = jigsaw_solve(enc.patches, grid.rows, grid.cols)
-    truth = truth_for_key(key, grid.rows, grid.cols, enc.patches)
+    found = jigsaw_solve(enc.patches, grid.rows, grid.cols, holes=enc.holes)
+    truth = truth_for_key(key, grid.rows, grid.cols, enc.patches, holes=enc.holes)
     return puzzle_metrics(found, truth)
 
 

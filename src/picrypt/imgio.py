@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import DecodeError, GeometryError
 
-HOLE = None  # marker for a dropped patch inside a PatchGrid
-
 
 @dataclass(frozen=True)
 class Image:
@@ -52,9 +50,12 @@ class Image:
 class PatchGrid:
     """Row-major sequence of equally-sized square patches plus grid geometry.
 
-    Each entry of ``patches`` is a (patch_size, patch_size, channels) uint8
-    array, or HOLE for a dropped patch. ``interval`` records the pixel gap
-    that was skipped between patches when the grid was cut.
+    ``patches`` is one (rows * cols, patch_size, patch_size, channels) uint8
+    array; a sequence of equal patches is stacked into one. ``holes`` is
+    an optional (rows * cols,) bool mask of dropped patches, and a grid
+    built without it has none; drop_patches zeroes the pixels of the
+    patches it marks. ``interval`` records the pixel gap that was skipped
+    between patches when the grid was cut.
     """
 
     rows: int
@@ -62,32 +63,34 @@ class PatchGrid:
     patch_size: int
     channels: int
     interval: int
-    patches: tuple
+    patches: np.ndarray
+    holes: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.patches) != self.rows * self.cols:
+        try:
+            patches = np.asarray(self.patches)
+        except ValueError:  # a ragged sequence of patches
+            raise GeometryError("patches differ in shape") from None
+        n = self.rows * self.cols
+        shape = (n, self.patch_size, self.patch_size, self.channels)
+        if patches.shape != shape or patches.dtype != np.uint8:
             raise GeometryError(
-                f"expected {self.rows * self.cols} patches, got {len(self.patches)}"
+                f"patches have shape {patches.shape} and dtype {patches.dtype}, "
+                f"expected {shape} uint8"
             )
-        shape = (self.patch_size, self.patch_size, self.channels)
-        for i, p in enumerate(self.patches):
-            if p is HOLE:
-                continue
-            if p.shape != shape or p.dtype != np.uint8:
-                raise GeometryError(f"patch {i} has shape {p.shape}, expected {shape}")
+        holes = np.zeros(n, dtype=bool) if self.holes is None else self.holes
+        holes = np.asarray(holes, dtype=bool)
+        if holes.shape != (n,):
+            raise GeometryError(f"holes must be a ({n},) bool mask, got {holes.shape}")
+        object.__setattr__(self, "patches", patches)
+        object.__setattr__(self, "holes", holes)
 
     @property
     def n_patches(self) -> int:
         return self.rows * self.cols
 
     def hole_count(self) -> int:
-        return sum(1 for p in self.patches if p is HOLE)
-
-    def stacked(self) -> np.ndarray:
-        """The patches of a hole-free grid as one (n_patches, P, P, C) array."""
-        return np.concatenate(self.patches).reshape(
-            self.n_patches, self.patch_size, self.patch_size, self.channels
-        )
+        return int(self.holes.sum())
 
 
 def _read_token(data: bytes, pos: int, field: str):
@@ -199,7 +202,7 @@ def split_patches(img: Image, patch_size: int, interval: int = 0) -> PatchGrid:
         patch_size=patch_size,
         channels=img.channels,
         interval=interval,
-        patches=tuple(blocks),
+        patches=blocks,
     )
 
 
@@ -216,7 +219,7 @@ def assemble(grid: PatchGrid) -> Image:
     if grid.hole_count():
         raise GeometryError(f"cannot assemble a grid with {grid.hole_count()} holes")
     p = grid.patch_size
-    blocks = grid.stacked().reshape(grid.rows, grid.cols, p, p, grid.channels)
+    blocks = grid.patches.reshape(grid.rows, grid.cols, p, p, grid.channels)
     return Image(pixels=blocks.transpose(0, 2, 1, 3, 4).reshape(
         grid.rows * p, grid.cols * p, grid.channels
     ))

@@ -103,13 +103,6 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     return p
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(dk)) v for one head."""
-    dk = q.data.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(dk))
-    return matmul(softmax_rows(scores), v)
-
-
 def msa(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -> Tensor:
     """Multi-head self-attention; heads are separate projections, concatenated."""
     outs = []

@@ -19,12 +19,11 @@ from picrypt.cipher import (
     quantize_mixed,
     rs_encrypt,
     rs_decrypt,
-    rs_encrypt_mixed,
     save_key,
     spn_encrypt,
 )
 from picrypt.errors import GeometryError, KeyMismatchError, PicryptError
-from picrypt.imgio import HOLE, Image, PatchGrid, split_patches, split_subpatches
+from picrypt.imgio import Image, PatchGrid, split_patches, split_subpatches
 from picrypt.rng import SplitMix64
 
 
@@ -201,13 +200,13 @@ def test_mi_rejects_holes():
 
 
 def test_mi_commutes_with_rs():
-    # mi(rs(g,k)) == rs'(mi(g),k) bit-exactly, same permutation
+    # mi(rs(g,k)) == rs(mi(g),k) bit-exactly, same permutation
     rng = np.random.default_rng(9)
     for seed in range(5):
         g = rand_grid(rng, rows=3, cols=3)
         k = gen_key(seed, 9)
         a = mi_encrypt(rs_encrypt(g, k))
-        b = rs_encrypt_mixed(mi_encrypt(g), k)
+        b = rs_encrypt(mi_encrypt(g), k)
         for pa, pb in zip(a.patches, b.patches):
             assert np.array_equal(pa, pb)
 
@@ -383,8 +382,32 @@ def test_drop_deterministic_and_distinct():
     g = rand_grid(rng, rows=4, cols=4)
     a = drop_patches(g, 0.5, seed=9)
     b = drop_patches(g, 0.5, seed=9)
-    assert [p is HOLE for p in a.patches] == [p is HOLE for p in b.patches]
+    assert np.array_equal(a.holes, b.holes)
     assert a.hole_count() == 8
+
+
+def test_dropped_pixels_do_not_survive():
+    # hole slots hold zeros, before and after shuffling, and no dropped
+    # patch's bytes remain anywhere in the grid
+    rng = np.random.default_rng(17)
+    g = rand_grid(rng, rows=4, cols=4)
+    dropped = drop_patches(g, 0.5, seed=9)
+    shuffled = rs_encrypt(dropped, gen_key(3, 16))
+    gone = [g.patches[i].tobytes() for i in np.flatnonzero(dropped.holes)]
+    for grid in (dropped, shuffled):
+        assert grid.hole_count() == 8
+        assert not grid.patches[grid.holes].any()
+        kept = {p.tobytes() for p in grid.patches[~grid.holes]}
+        assert kept.isdisjoint(gone)
+    assert np.array_equal(shuffled.holes, dropped.holes[list(gen_key(3, 16).perm)])
+
+
+def test_drop_keeps_earlier_holes():
+    rng = np.random.default_rng(18)
+    g = drop_patches(rand_grid(rng, rows=4, cols=4), 0.25, seed=1)
+    twice = drop_patches(g, 0.25, seed=2)
+    assert np.all(twice.holes[g.holes])
+    assert not twice.patches[twice.holes].any()
 
 
 def test_drop_rejects_full_ratio():

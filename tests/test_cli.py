@@ -5,7 +5,10 @@ import pytest
 
 import picrypt.cipher
 from picrypt.cli import run
+from picrypt.errors import ConfigError
+from picrypt.harness import TrainConfig
 from picrypt.imgio import Image, load_ppm, save_ppm
+from picrypt.pevit import ModelConfig
 from picrypt.tensor import Tensor, load_checkpoint, save_checkpoint
 
 TINY_CFG = (
@@ -49,6 +52,28 @@ def test_bad_mode_fails_before_io(tmp_path, capsys):
     assert run(["encrypt", "--mode", "nope", "--in", str(tmp_path / "x.ppm"),
                 "--out", str(tmp_path / "y.ppm")]) == 1
     assert "nope" in capsys.readouterr().err
+
+
+ACCEPTED_MODES = ("none", "rs", "mi", "rs+mi", "mi+rs", "spn:1", "spn:4")
+REJECTED_MODES = ("", "RS", "spn:0", "spn:", "spn:x", "mi+mi")
+
+
+@pytest.mark.parametrize("mode", ACCEPTED_MODES + REJECTED_MODES)
+def test_mode_vocabulary_shared(tmp_path, capsys, mode):
+    # encrypt --mode, leakage --mode and TrainConfig agree on every setting
+    write_image(tmp_path / "a.ppm")
+    encrypt = run(["encrypt", "--mode", mode, "--in", str(tmp_path / "a.ppm"),
+                   "--out", str(tmp_path / "b.ppm")])
+    leakage = run(["leakage", "--mode", mode, "--images", "2",
+                   "--image-size", "32"])
+    model = ModelConfig(patch_dim=1, dim=4, heads=1)
+    if mode in ACCEPTED_MODES:
+        assert (encrypt, leakage) == (0, 0)
+        TrainConfig(model=model, encryption=mode)
+    else:
+        assert (encrypt, leakage) == (1, 1)
+        with pytest.raises(ConfigError):
+            TrainConfig(model=model, encryption=mode)
 
 
 def test_key_flag_only_for_rs(tmp_path):
@@ -226,6 +251,15 @@ def test_eval_nan_weight_is_data_error(tmp_path, capsys):
     capsys.readouterr()
     assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def test_train_non_finite_is_data_error(tmp_path, capsys):
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text(TINY_CFG + "train.lr = 1e300\n")
+    ckpt = tmp_path / "model.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_train_bad_config_key_is_data_error(tmp_path, capsys):

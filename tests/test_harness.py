@@ -7,10 +7,9 @@ import pytest
 
 import picrypt.pevit as pevit
 from picrypt.attacks import puzzle_metrics
-from picrypt.cipher import gen_key, rs_encrypt
+from picrypt.cipher import MODES, gen_key, rs_encrypt
 from picrypt.errors import ConfigError, DataError
 from picrypt.harness import (
-    ENC_MODES,
     MARKER_SIZE,
     SWEEP_HEADER,
     Adam,
@@ -127,7 +126,7 @@ def test_puzzle_corpus_deterministic_and_in_range():
 
 
 def test_enc_mode_settings():
-    for mode in ENC_MODES:
+    for mode in MODES:
         TrainConfig(model=TINY_MODEL if mode in ("none", "rs") else
                     dataclasses.replace(TINY_MODEL, patch_dim=8 * 8 * 3),
                     encryption=mode)
@@ -266,6 +265,30 @@ def test_train_writes_checkpoint(tmp_path):
     assert sorted(back) == sorted(params)
     for name in params:
         assert np.array_equal(back[name].data, params[name].data)
+
+
+def test_train_non_finite_raises_without_checkpoint(tmp_path):
+    # lr=1e300 blows the weights up after the first step: the next logits
+    # are NaN, and no checkpoint may be written
+    spec = SynthSpec(image_size=32, classes=2, train_per_class=4,
+                     test_per_class=0, seed=0)
+    path = tmp_path / "m.petn"
+    model = dataclasses.replace(TINY_MODEL, n_classes=2)
+    with pytest.raises(DataError, match="finite"):
+        train(tiny_cfg(model=model, epochs=2, lr=1e300), gen_dataset(spec),
+              checkpoint=path)
+    assert not path.exists()
+
+
+def test_train_non_finite_last_step_writes_no_checkpoint(tmp_path):
+    # one sample, one step to infinite weights that are never run forward
+    spec = SynthSpec(image_size=32, classes=1, train_per_class=1,
+                     test_per_class=0, seed=0)
+    path = tmp_path / "m.petn"
+    with pytest.raises(DataError, match="finite"):
+        train(tiny_cfg(epochs=1, lr=float("inf")), gen_dataset(spec),
+              checkpoint=path)
+    assert not path.exists()
 
 
 def test_overfit_micro_set_to_perfect_accuracy():

@@ -5,7 +5,6 @@ import pytest
 
 from picrypt.errors import DecodeError, GeometryError
 from picrypt.imgio import (
-    HOLE,
     Image,
     PatchGrid,
     assemble,
@@ -207,9 +206,25 @@ def test_assemble_rejects_holes():
     img = Image(pixels=np.zeros((4, 4, 1), dtype=np.uint8))
     grid = split_patches(img, 2, 0)
     holed = PatchGrid(rows=2, cols=2, patch_size=2, channels=1, interval=0,
-                      patches=(grid.patches[0], HOLE, grid.patches[2], grid.patches[3]))
+                      patches=grid.patches, holes=[False, True, False, False])
     with pytest.raises(GeometryError, match="hole"):
         assemble(holed)
+
+
+def test_patch_grid_checks_array_and_mask():
+    # a tuple of patches becomes one array; no mask means no holes
+    p = np.zeros((2, 2, 1), dtype=np.uint8)
+    grid = PatchGrid(rows=1, cols=2, patch_size=2, channels=1, interval=0,
+                     patches=(p, p + 1))
+    assert grid.patches.shape == (2, 2, 2, 1)
+    assert grid.holes.tolist() == [False, False] and grid.hole_count() == 0
+    for patches, holes in (((p,), None),                        # wrong count
+                           ((p, np.zeros((2, 3, 1), np.uint8)), None),  # ragged
+                           ((p, p.astype(np.int16)), None),     # not uint8
+                           ((p, p), [True])):                   # short mask
+        with pytest.raises(GeometryError):
+            PatchGrid(rows=1, cols=2, patch_size=2, channels=1, interval=0,
+                      patches=patches, holes=holes)
 
 
 def test_assemble_rejects_interval():

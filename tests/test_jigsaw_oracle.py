@@ -25,10 +25,13 @@ from picrypt.attacks import (
 from picrypt.cipher import drop_patches, gen_key, rs_encrypt
 from picrypt.errors import GeometryError
 from picrypt.harness import gen_puzzle_corpus
-from picrypt.imgio import HOLE, Image, split_patches
+from picrypt.imgio import Image, split_patches
 from picrypt.rng import SplitMix64
 
 _REL_RANK = {"right": 0, "below": 1, "left": 2, "above": 3}
+
+# the reference solver takes a patch list with HOLE entries for dropped patches
+HOLE = None
 
 
 def broadcast_tables(patches):
@@ -134,8 +137,13 @@ def reference_jigsaw_solve(patches, rows, cols):
 
 
 def assert_same_solve(patches, rows, cols):
+    """``patches`` is a list with HOLE entries; the solver gets it as one
+    array with zeros in the hole slots plus the hole mask."""
     want = dump_arrangement(reference_jigsaw_solve(patches, rows, cols))
-    got = dump_arrangement(jigsaw_solve(patches, rows, cols))
+    holes = np.array([p is HOLE for p in patches])
+    blank = np.zeros_like(next(p for p in patches if p is not HOLE))
+    array = np.stack([blank if p is HOLE else p for p in patches])
+    got = dump_arrangement(jigsaw_solve(array, rows, cols, holes=holes))
     assert got == want
 
 
@@ -211,4 +219,5 @@ def test_corpus_cells_match_reference(interval, drop_ratio):
     if drop_ratio > 0.0:
         grid = drop_patches(grid, drop_ratio, rng.next_u64())
     enc = rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches))
-    assert_same_solve(enc.patches, grid.rows, grid.cols)
+    patches = [HOLE if hole else p for p, hole in zip(enc.patches, enc.holes)]
+    assert_same_solve(patches, grid.rows, grid.cols)

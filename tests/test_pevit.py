@@ -6,7 +6,6 @@ import pytest
 from picrypt.errors import ConfigError, ShapeError
 from picrypt.pevit import (
     ModelConfig,
-    attention,
     encoder_block,
     export_attention,
     forward,
@@ -22,6 +21,9 @@ from picrypt.tensor import (
     grad_check,
     matmul,
     mean_last_axis,
+    scale,
+    softmax_rows,
+    transpose_last_two as transpose,
     zero_grads,
 )
 
@@ -35,6 +37,14 @@ def t(arr):
 
 def rand_patches(rng, n=6, dim=CFG.patch_dim):
     return rng.random((n, dim))
+
+
+def attention(q, k, v):
+    """softmax(q k^T / sqrt(dk)) v for one head, in plain numpy: the oracle
+    for msa's per-head loop."""
+    scores = q @ k.T / np.sqrt(q.shape[1])
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)) @ v
 
 
 # ---------------------------------------------------------------- config
@@ -82,35 +92,34 @@ def test_init_params_deterministic():
 
 def test_attention_single_key_returns_value_row():
     rng = np.random.default_rng(0)
-    q = t(rng.standard_normal((4, 3)))
-    k = t(rng.standard_normal((1, 3)))
-    v = t(rng.standard_normal((1, 3)))
-    out = attention(q, k, v).data
+    q = rng.standard_normal((4, 3))
+    k = rng.standard_normal((1, 3))
+    v = rng.standard_normal((1, 3))
+    out = attention(q, k, v)
     for row in out:
-        assert np.max(np.abs(row - v.data[0])) < 1e-15
+        assert np.max(np.abs(row - v[0])) < 1e-15
 
 
 def test_attention_zero_logits_average_values():
     rng = np.random.default_rng(1)
-    q = t(np.zeros((3, 4)))
-    k = t(rng.standard_normal((5, 4)))
-    v = t(rng.standard_normal((5, 4)))
-    out = attention(q, k, v).data
-    want = v.data.mean(axis=0)
+    q = np.zeros((3, 4))
+    k = rng.standard_normal((5, 4))
+    v = rng.standard_normal((5, 4))
+    out = attention(q, k, v)
+    want = v.mean(axis=0)
     for row in out:
         assert np.max(np.abs(row - want)) < 1e-12
 
 
 def test_attention_matches_formula_oracle():
+    # the tape ops msa composes per head agree with the numpy oracle
     rng = np.random.default_rng(2)
     q = rng.standard_normal((3, 2))
     k = rng.standard_normal((3, 2))
     v = rng.standard_normal((3, 2))
-    scores = q @ k.T / np.sqrt(2)
-    e = np.exp(scores - scores.max(axis=1, keepdims=True))
-    want = (e / e.sum(axis=1, keepdims=True)) @ v
-    got = attention(t(q), t(k), t(v)).data
-    assert np.max(np.abs(got - want)) < 1e-12
+    scores = scale(matmul(t(q), transpose(t(k))), 1.0 / np.sqrt(2))
+    got = matmul(softmax_rows(scores), t(v)).data
+    assert np.max(np.abs(got - attention(q, k, v))) < 1e-12
 
 
 def test_msa_one_head_is_attention_with_projection():
@@ -122,7 +131,7 @@ def test_msa_one_head_is_attention_with_projection():
     q = z.data @ p["layer0.attn.h0.wq"].data
     k = z.data @ p["layer0.attn.h0.wk"].data
     v = z.data @ p["layer0.attn.h0.wv"].data
-    want = attention(t(q), t(k), t(v)).data @ p["layer0.attn.wo"].data
+    want = attention(q, k, v) @ p["layer0.attn.wo"].data
     assert np.max(np.abs(got - want)) < 1e-12
 
 
