@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import attacks, cipher, harness, imgio, pevit
-from .errors import PicryptError
+from .errors import DataError, PicryptError
 from .tensor import grad_check, load_checkpoint
 
 
@@ -194,6 +194,9 @@ def _cmd_attack_collision(args) -> int:
 def _cmd_train(args) -> int:
     spec, cfg = harness.config_specs(harness.load_config(args.config))
     data = harness.gen_dataset(spec)
+    if data.test_x.shape[0] == 0:
+        # checked before training, so a run that cannot report writes no checkpoint
+        raise DataError("data.test_per_class = 0: no test images to evaluate")
     params, history = harness.train(cfg, data, checkpoint=args.out)
     for row in history:
         print(f"epoch={row['epoch']} loss={row['loss']:.6f} "

@@ -27,18 +27,9 @@ from .cipher import (
 )
 from .errors import ConfigError, DataError
 from .imgio import Image, assemble, split_patches
-from .pevit import ModelConfig, _plain_ln, _row0, encoder_block
+from .pevit import ModelConfig
 from .rng import SplitMix64
-from .tensor import (
-    Tensor,
-    add,
-    backward,
-    concat_rows,
-    cross_entropy,
-    matmul,
-    save_checkpoint,
-    zero_grads,
-)
+from .tensor import Tensor, add, backward, cross_entropy, save_checkpoint, zero_grads
 
 # ten distinct bright colors, none close to white (the leakage marker is
 # the only source of exact 255/255/255 pixels)
@@ -207,7 +198,13 @@ class TrainConfig:
             raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
         if self.interval < 0:
             raise ConfigError(f"interval must be >= 0, got {self.interval}")
-        parse_mode(self.encryption)
+        kind, _ = parse_mode(self.encryption)
+        if self.drop_ratio > 0.0 and kind not in ("none", "rs"):
+            raise ConfigError("drop_ratio is only supported for none/rs settings")
+        if not (0.0 < self.lr < np.inf and 0.0 < self.eps < np.inf):
+            raise ConfigError(f"lr and eps must be finite and > 0, got {self.lr}, {self.eps}")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
 
 
 def expected_patch_dim(patch_size: int, channels: int, encryption: str) -> int:
@@ -226,8 +223,6 @@ def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.n
     """
     grid = split_patches(Image(pixels=pixels), cfg.patch_size, cfg.interval)
     if cfg.drop_ratio > 0.0:
-        if parse_mode(cfg.encryption)[0] not in ("none", "rs"):
-            raise ConfigError("drop_ratio is only supported for none/rs settings")
         grid = drop_patches(grid, cfg.drop_ratio, rng.next_u64())
     grid = encrypt(grid, cfg.encryption, rng.next_u64)
     if isinstance(grid, MixedGrid):
@@ -284,39 +279,34 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
     encryption keys come from seeded streams. history holds one row per
     epoch with the mean loss and the running train accuracy.
     """
+    n = data.train_x.shape[0]
+    if n == 0:
+        raise DataError("no training images")
     _check_geometry(cfg, data.train_x)
     params = pevit.init_params(cfg.model, seed=cfg.seed)
     opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
     key_rng = SplitMix64(cfg.seed)
     order_rng = np.random.default_rng(cfg.seed)
-    n = data.train_x.shape[0]
     history = []
     for epoch in range(cfg.epochs):
         order = order_rng.permutation(n)
         total_loss = 0.0
         correct = 0
-        pending = 0
-        for img_i in order:
-            x = image_vectors(data.train_x[img_i], cfg, key_rng)
-            label = int(data.train_y[img_i])
-            logits = pevit.forward(params, cfg.model, x)
-            if pevit.top_class(logits.data) == label:
-                correct += 1
-            loss = cross_entropy(logits, label)
-            total_loss += float(loss.data)
-            backward(loss)
-            pending += 1
-            if pending == cfg.batch:
-                if cfg.batch > 1:
-                    for p in params.values():
-                        if p.grad is not None:
-                            p.grad /= cfg.batch
-                opt.step()
-                pending = 0
-        if pending:
-            for p in params.values():
-                if p.grad is not None:
-                    p.grad /= pending
+        for start in range(0, n, cfg.batch):
+            batch = order[start : start + cfg.batch]
+            for img_i in batch:
+                x = image_vectors(data.train_x[img_i], cfg, key_rng)
+                label = int(data.train_y[img_i])
+                logits = pevit.forward(params, cfg.model, x)
+                if pevit.top_class(logits.data) == label:
+                    correct += 1
+                loss = cross_entropy(logits, label)
+                total_loss += float(loss.data)
+                backward(loss)
+            if len(batch) > 1:  # step on the batch-mean gradient, tail included
+                for p in params.values():
+                    if p.grad is not None:
+                        p.grad /= len(batch)
             opt.step()
         history.append({
             "epoch": epoch,
@@ -332,14 +322,10 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
 
 def evaluate(params: dict, cfg: TrainConfig, images: np.ndarray,
              labels: np.ndarray, seed: int = 0) -> float:
-    """Top-1 accuracy under the configured test-time encryption."""
-    _check_geometry(cfg, images)
-    rng = SplitMix64(seed)
-    correct = 0
-    for i in range(images.shape[0]):
-        x = image_vectors(images[i], cfg, rng)
-        if pevit.predict(params, cfg.model, x) == int(labels[i]):
-            correct += 1
+    """Top-1 accuracy of ``predictions``; an empty split has no accuracy."""
+    if images.shape[0] == 0:
+        raise DataError("no images to evaluate; accuracy is undefined")
+    correct = int((predictions(params, cfg, images, seed) == labels).sum())
     return correct / images.shape[0]
 
 
@@ -348,9 +334,7 @@ def predictions(params: dict, cfg: TrainConfig, images: np.ndarray,
     """Predicted labels per image; ``model`` overrides the forward function."""
     _check_geometry(cfg, images)
     rng = SplitMix64(seed)
-    fwd = model if model is not None else (
-        lambda p, c, x: pevit.forward(p, c, x)
-    )
+    fwd = pevit.forward if model is None else model
     out = np.empty(images.shape[0], dtype=np.int64)
     for i in range(images.shape[0]):
         x = image_vectors(images[i], cfg, rng)
@@ -373,14 +357,8 @@ def baseline_init(cfg: ModelConfig, n_patches: int, seed: int = 0) -> dict:
 def baseline_forward(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
     """Like pevit.forward but adds absolute positional embeddings, so the
     logits depend on patch order."""
-    x = Tensor(np.asarray(patches, dtype=np.float64))
-    emb = add(matmul(x, params["embed.w"]), params["embed.b"])
-    z = concat_rows([params["cls"], emb])
-    z = add(z, params["pos"])
-    for i in range(cfg.depth):
-        z = encoder_block(params, f"layer{i}", z, cfg.heads)
-    y = _plain_ln(_row0(z))
-    return add(matmul(y, params["head.w"]), params["head.b"])
+    z = add(pevit.build_tokens(params, cfg, patches), params["pos"])
+    return pevit.readout(params, pevit.block_stack(params, z, cfg.depth, cfg.heads))
 
 
 # --------------------------------------------------------------------------

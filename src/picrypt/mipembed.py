@@ -21,7 +21,7 @@ import numpy as np
 
 from .cipher import MixedGrid
 from .errors import ConfigError, ShapeError
-from .pevit import encoder_block
+from .pevit import block_stack
 from .tensor import Tensor, add, concat_rows, gelu, matmul
 
 
@@ -100,7 +100,4 @@ def build_det_sequence(params: dict, cfg: DetConfig, grid: MixedGrid) -> Tensor:
 def encode_det_sequence(params: dict, cfg: DetConfig, grid: MixedGrid,
                         depth: int, heads: int) -> Tensor:
     """Run pevit encoder blocks over z0; params must also carry layer{i}.* keys."""
-    z = build_det_sequence(params, cfg, grid)
-    for i in range(depth):
-        z = encoder_block(params, f"layer{i}", z, heads)
-    return z
+    return block_stack(params, build_det_sequence(params, cfg, grid), depth, heads)

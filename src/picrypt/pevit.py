@@ -24,6 +24,7 @@ from .tensor import (
     concat_last_axis,
     concat_rows,
     cross_entropy,
+    first_row,
     gelu,
     layer_norm,
     matmul,
@@ -138,26 +139,9 @@ def rpe(params: dict, x: Tensor) -> Tensor:
     return sigmoid(add(matmul(h, params["rpe.w2"]), params["rpe.b2"]))
 
 
-def _plain_ln(x: Tensor) -> Tensor:
-    # affine-free: constant unit scale / zero shift, not trainable
-    d = x.data.shape[1]
-    return layer_norm(x, Tensor(np.ones((1, d))), Tensor(np.zeros((1, d))))
-
-
-def _row0(z: Tensor) -> Tensor:
-    n = z.data.shape[0]
-    pick = np.zeros((1, n))
-    pick[0, 0] = 1.0
-    return matmul(Tensor(pick), z)
-
-
-def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | None = None) -> Tensor:
-    """Run the encoder stack; returns the (N+1, D) token matrix after depth blocks.
-
-    patches: float64 (N, patch_dim). When ``trace`` is a dict it receives
-    "tokens" (per-block token matrices) and "attn" (per-block lists of
-    per-head attention weight matrices), as numpy copies.
-    """
+def build_tokens(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
+    """Token matrix (N+1, D): the class row on top of the embedded (N, patch_dim)
+    patches, plus their rpe features when cfg.rpe is set."""
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2 or patches.shape[1] != cfg.patch_dim:
         raise ShapeError(
@@ -167,24 +151,44 @@ def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | No
     emb = add(matmul(x, params["embed.w"]), params["embed.b"])
     if cfg.rpe:
         emb = add(emb, rpe(params, x))
-    z = concat_rows([params["cls"], emb])
+    return concat_rows([params["cls"], emb])
+
+
+def block_stack(params: dict, z: Tensor, depth: int, heads: int,
+                trace: dict | None = None) -> Tensor:
+    """Run blocks layer0 .. layer{depth-1} over the token matrix z. A dict
+    ``trace`` receives "tokens" (z and each block's output) and "attn" (per
+    block, the per-head attention weights), as numpy copies."""
     if trace is not None:
         trace["tokens"] = [z.data.copy()]
         trace["attn"] = []
-    for i in range(cfg.depth):
+    for i in range(depth):
         attn_trace = [] if trace is not None else None
-        z = encoder_block(params, f"layer{i}", z, cfg.heads, trace=attn_trace)
+        z = encoder_block(params, f"layer{i}", z, heads, trace=attn_trace)
         if trace is not None:
             trace["tokens"].append(z.data.copy())
             trace["attn"].append(attn_trace)
     return z
 
 
-def forward(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | None = None) -> Tensor:
-    """Logits (1, n_classes) from the normalized class token."""
-    z = encode(params, cfg, patches, trace=trace)
-    y = _plain_ln(_row0(z))
+def readout(params: dict, z: Tensor) -> Tensor:
+    """Logits (1, n_classes): the head over the class row after an
+    affine-free layer norm (unit scale, zero shift, not trainable)."""
+    d = z.data.shape[1]
+    y = layer_norm(first_row(z), Tensor(np.ones((1, d))), Tensor(np.zeros((1, d))))
     return add(matmul(y, params["head.w"]), params["head.b"])
+
+
+def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | None = None) -> Tensor:
+    """Run the encoder stack; returns the (N+1, D) token matrix after depth
+    blocks. ``trace`` is filled as block_stack describes."""
+    return block_stack(params, build_tokens(params, cfg, patches),
+                       cfg.depth, cfg.heads, trace=trace)
+
+
+def forward(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
+    """Logits (1, n_classes) from the normalized class token."""
+    return readout(params, encode(params, cfg, patches))
 
 
 def loss_fn(params: dict, cfg: ModelConfig, patches: np.ndarray, label: int) -> Tensor:

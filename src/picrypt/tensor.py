@@ -46,12 +46,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
     def accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -111,6 +105,21 @@ def scale(a: Tensor, s: float) -> Tensor:
     return out
 
 
+def _concat(tensors, axis: int) -> Tensor:
+    """Join along ``axis``; the pullback hands each input its slice of g."""
+    lead = (slice(None),) * (axis % tensors[0].data.ndim)
+    stops = list(itertools.accumulate(t.data.shape[axis] for t in tensors))
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                 parents=tuple(tensors))
+
+    def pull(g):
+        for t, start, stop in zip(tensors, [0] + stops, stops):
+            t.accumulate(g[lead + (slice(start, stop),)])
+
+    out._pullback = pull
+    return out
+
+
 def concat_last_axis(tensors) -> Tensor:
     tensors = list(tensors)
     if not tensors:
@@ -121,18 +130,19 @@ def concat_last_axis(tensors) -> Tensor:
             raise ShapeError(
                 f"concat_last_axis mismatch: {t.data.shape} vs leading {lead}"
             )
-    widths = [t.data.shape[-1] for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1),
-                 parents=tuple(tensors))
+    return _concat(tensors, -1)
 
-    def pull(g):
-        offset = 0
-        for t, w in zip(tensors, widths):
-            t.accumulate(g[..., offset : offset + w])
-            offset += w
 
-    out._pullback = pull
-    return out
+def concat_rows(tensors) -> Tensor:
+    """Stack 2-D tensors of equal width vertically."""
+    tensors = list(tensors)
+    if not tensors:
+        raise ShapeError("concat_rows of an empty sequence")
+    width = _as2d("concat_rows", tensors[0]).shape[1]
+    for t in tensors:
+        if _as2d("concat_rows", t).shape[1] != width:
+            raise ShapeError(f"concat_rows mismatch: {t.data.shape} vs width {width}")
+    return _concat(tensors, 0)
 
 
 def transpose_last_two(a: Tensor) -> Tensor:
@@ -142,11 +152,18 @@ def transpose_last_two(a: Tensor) -> Tensor:
     return out
 
 
-def concat_rows(tensors) -> Tensor:
-    """Stack 2-D tensors vertically; built from transpose + last-axis concat."""
-    return transpose_last_two(
-        concat_last_axis([transpose_last_two(t) for t in tensors])
-    )
+def first_row(a: Tensor) -> Tensor:
+    """Row 0 of a 2-D tensor, as a (1, D) tensor."""
+    da = _as2d("first_row", a)
+    out = Tensor(da[:1], parents=(a,))
+
+    def pull(g):
+        full = np.zeros_like(da)
+        full[:1] = g
+        a.accumulate(full)
+
+    out._pullback = pull
+    return out
 
 
 def mean_last_axis(a: Tensor) -> Tensor:
@@ -356,7 +373,7 @@ def save_checkpoint(path, params) -> None:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(params)))
         for name in sorted(params):
-            data = params[name].data if isinstance(params[name], Tensor) else np.asarray(params[name], dtype=np.float64)
+            data = params[name].data
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)

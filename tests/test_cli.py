@@ -262,6 +262,23 @@ def test_train_non_finite_is_data_error(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_empty_splits_are_data_errors(tmp_path, capsys):
+    no_test = tmp_path / "no_test.cfg"
+    no_test.write_text(TINY_CFG + "data.test_per_class = 0\n")
+    ckpt = tmp_path / "model.petn"
+    assert run(["train", "--config", str(no_test), "--out", str(ckpt)]) == 2
+    assert "test_per_class" in capsys.readouterr().err
+    assert not ckpt.exists()
+    no_train = tmp_path / "no_train.cfg"
+    no_train.write_text(TINY_CFG + "data.train_per_class = 0\n")
+    assert run(["train", "--config", str(no_train), "--out", str(ckpt)]) == 2
+    assert "no training images" in capsys.readouterr().err
+    assert not ckpt.exists()
+    save_checkpoint(ckpt, {"w": Tensor(np.ones((2, 2)))})
+    assert run(["eval", "--config", str(no_test), "--ckpt", str(ckpt)]) == 2
+    assert "no images" in capsys.readouterr().err
+
+
 def test_train_bad_config_key_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("data.bogus = 1\n")

@@ -147,6 +147,11 @@ def test_train_config_bounds():
         tiny_cfg(drop_ratio=1.0)
     with pytest.raises(ConfigError):
         tiny_cfg(interval=-1)
+    for bad in ({"lr": -1.0}, {"lr": 0.0}, {"lr": float("nan")}, {"lr": float("inf")},
+                {"beta1": 1.5}, {"beta1": 1.0}, {"beta2": -0.1}, {"beta2": float("nan")},
+                {"eps": -1.0}, {"eps": 0.0}, {"eps": float("inf")}):
+        with pytest.raises(ConfigError):
+            tiny_cfg(**bad)
 
 
 def test_expected_patch_dim():
@@ -199,9 +204,8 @@ def test_image_vectors_drop_only_for_plain_modes():
     v = image_vectors(img, cfg, SplitMix64(0))
     assert v.shape == (2, 768)
     model = dataclasses.replace(TINY_MODEL, patch_dim=192)
-    bad = tiny_cfg(model=model, encryption="mi", drop_ratio=0.5)
-    with pytest.raises(ConfigError):
-        image_vectors(img, bad, SplitMix64(0))
+    with pytest.raises(ConfigError, match="drop_ratio"):
+        tiny_cfg(model=model, encryption="mi", drop_ratio=0.5)
 
 
 def test_geometry_checked_before_training():
@@ -280,15 +284,34 @@ def test_train_non_finite_raises_without_checkpoint(tmp_path):
     assert not path.exists()
 
 
-def test_train_non_finite_last_step_writes_no_checkpoint(tmp_path):
-    # one sample, one step to infinite weights that are never run forward
+def test_train_non_finite_last_step_writes_no_checkpoint(tmp_path, monkeypatch):
+    # one sample, one step to an infinite weight that is never run forward
     spec = SynthSpec(image_size=32, classes=1, train_per_class=1,
                      test_per_class=0, seed=0)
     path = tmp_path / "m.petn"
+    step = Adam.step
+
+    def step_to_inf(opt):
+        step(opt)
+        opt.params["head.b"].data[0, 0] = np.inf
+
+    monkeypatch.setattr(Adam, "step", step_to_inf)
     with pytest.raises(DataError, match="finite"):
-        train(tiny_cfg(epochs=1, lr=float("inf")), gen_dataset(spec),
-              checkpoint=path)
+        train(tiny_cfg(epochs=1), gen_dataset(spec), checkpoint=path)
     assert not path.exists()
+
+
+def test_empty_splits_are_data_errors(tmp_path):
+    spec = SynthSpec(image_size=32, classes=2, train_per_class=0,
+                     test_per_class=0, seed=0)
+    d = gen_dataset(spec)
+    path = tmp_path / "m.petn"
+    with pytest.raises(DataError, match="no training images"):
+        train(tiny_cfg(), d, checkpoint=path)
+    assert not path.exists()
+    params = pevit.init_params(TINY_MODEL, seed=0)
+    with pytest.raises(DataError, match="no images"):
+        evaluate(params, tiny_cfg(), d.test_x, d.test_y)
 
 
 def test_overfit_micro_set_to_perfect_accuracy():

@@ -15,6 +15,7 @@ from picrypt.tensor import (
     concat_last_axis,
     concat_rows,
     cross_entropy,
+    first_row,
     gelu,
     grad_check,
     layer_norm,
@@ -90,6 +91,23 @@ def test_concat_last_axis_and_rows():
     a, b = t([[1.0], [2.0]]), t([[3.0], [4.0]])
     assert np.array_equal(concat_last_axis([a, b]).data, [[1.0, 3.0], [2.0, 4.0]])
     assert np.array_equal(concat_rows([a, b]).data, [[1.0], [2.0], [3.0], [4.0]])
+
+
+def test_concat_rows_is_one_node_over_its_inputs():
+    a, b = t([[1.0, 2.0]]), t([[3.0, 4.0], [5.0, 6.0]])
+    out = concat_rows([a, b])
+    assert len(out._parents) == 2
+    assert out._parents[0] is a and out._parents[1] is b
+    with pytest.raises(ShapeError):
+        concat_rows([a, t([[1.0, 2.0, 3.0]])])
+
+
+def test_first_row():
+    a = t([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    out = first_row(a)
+    assert np.array_equal(out.data, [[1.0, 2.0]])
+    backward(scalar_sum(out))
+    assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
 def test_mean_last_axis():
@@ -267,6 +285,7 @@ def test_grad_check_each_primitive():
         "rows": lambda p: scalar_sum(
             concat_rows([matmul(t(x), p["w"]), scale(matmul(t(x), p["w"]), 2.0)])),
         "xent": lambda p: cross_entropy(matmul(t(x[:1]), p["w"]), 2),
+        "first_row": lambda p: scalar_sum(gelu(first_row(matmul(t(x), p["w"])))),
     }
     for name, f in cases.items():
         params = {"w": t(rng.standard_normal((4, 4)))}
