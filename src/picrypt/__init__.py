@@ -36,7 +36,6 @@ from .imgio import (
     Image,
     PatchGrid,
     assemble,
-    join_subpatches,
     load_ppm,
     save_ppm,
     split_patches,
@@ -61,7 +60,6 @@ __all__ = [
     "drop_patches",
     "encrypt",
     "gen_key",
-    "join_subpatches",
     "keyspace",
     "load_key",
     "load_ppm",

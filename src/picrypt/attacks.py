@@ -51,13 +51,6 @@ class Arrangement:
         return {i: rc for rc, i in self.placement.items()}
 
 
-def identity_arrangement(rows: int, cols: int, indices=None) -> Arrangement:
-    """Each patch index at its row-major slot; restrict to ``indices`` if given."""
-    keep = set(range(rows * cols)) if indices is None else set(indices)
-    placement = {(i // cols, i % cols): i for i in sorted(keep)}
-    return Arrangement(rows=rows, cols=cols, placement=placement)
-
-
 def _norm_patch(p: np.ndarray) -> np.ndarray:
     a = np.asarray(p)
     if a.dtype == np.uint8:

@@ -231,31 +231,63 @@ def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.n
     return kept.reshape(len(kept), -1).astype(np.float64) / 255.0
 
 
+# elements per block of Adam.step: six 512 KiB slices stay in cache
+ADAM_BLOCK = 1 << 16
+
+
 class Adam:
-    """Adaptive-moment gradient step over a named parameter dict."""
+    """Adaptive-moment gradient step over a named parameter dict.
+
+    The parameters are packed, in sorted-name order, into one flat value
+    buffer ``data`` and one gradient buffer ``grad`` (a gradient already
+    accumulated carries over), and each Tensor's ``.data`` and ``.grad``
+    become views of them. ``step`` works in place, block by block, with the
+    per-element operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    data -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so its bits are
+    that expression's. After a step the gradients are zeroed views, not
+    None, and every parameter is stepped: one that got no gradient still
+    moves by its decayed moments. Never ``tensor.zero_grads`` the params:
+    that detaches their gradients from ``grad``, and the step ignores them.
+    """
 
     def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        tensors = [params[name] for name in sorted(params)]
+        self.data = np.concatenate([p.data.ravel() for p in tensors])
+        self.grad = np.concatenate([np.zeros(p.data.size) if p.grad is None
+                                    else p.grad.ravel() for p in tensors])
+        cuts = np.cumsum([p.data.size for p in tensors])[:-1]
+        for p, d, g in zip(tensors, np.split(self.data, cuts), np.split(self.grad, cuts)):
+            p.data, p.grad = d.reshape(p.shape), g.reshape(p.shape)
+        self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
+        self._a, self._b = np.empty((2, min(self.data.size, ADAM_BLOCK)))
 
     def step(self) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name in sorted(self.params):
-            p = self.params[name]
-            g = p.grad
-            if g is None:
-                continue
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1**self.t)
-            vhat = self.v[name] / (1 - b2**self.t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        zero_grads(self.params)
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+        for start in range(0, self.data.size, ADAM_BLOCK):
+            part = slice(start, start + ADAM_BLOCK)
+            g, m, v = self.grad[part], self.m[part], self.v[part]
+            a, b = self._a[:g.size], self._b[:g.size]
+            np.multiply(g, 1 - b1, out=a)
+            m *= b1
+            m += a
+            np.multiply(g, 1 - b2, out=a)
+            a *= g
+            v *= b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= self.lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            self.data[part] -= a
+        self.grad.fill(0.0)
 
 
 def _check_geometry(cfg: TrainConfig, images: np.ndarray) -> None:
@@ -304,9 +336,7 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
                 total_loss += float(loss.data)
                 backward(loss)
             if len(batch) > 1:  # step on the batch-mean gradient, tail included
-                for p in params.values():
-                    if p.grad is not None:
-                        p.grad /= len(batch)
+                opt.grad /= len(batch)
             opt.step()
         history.append({
             "epoch": epoch,
@@ -314,7 +344,7 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
             "accuracy": correct / n,
         })
     if checkpoint is not None:
-        if not all(np.isfinite(p.data).all() for p in params.values()):
+        if not np.isfinite(opt.data).all():
             raise DataError("trained weights are not all finite; no checkpoint written")
         save_checkpoint(checkpoint, params)
     return params, history

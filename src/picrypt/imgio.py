@@ -237,12 +237,3 @@ def split_subpatches(patch: np.ndarray):
         patch[half:, :half].copy(),
         patch[half:, half:].copy(),
     ]
-
-
-def join_subpatches(subs) -> np.ndarray:
-    """Inverse of split_subpatches: reassemble the four quadrants."""
-    if len(subs) != 4:
-        raise GeometryError(f"expected 4 sub-patches, got {len(subs)}")
-    top = np.concatenate([subs[0], subs[1]], axis=1)
-    bottom = np.concatenate([subs[2], subs[3]], axis=1)
-    return np.concatenate([top, bottom], axis=0)

@@ -47,11 +47,12 @@ class ModelConfig:
     rpe_hidden: int = 64
 
     def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        for field in ("patch_dim", "dim", "depth", "heads", "ffn_dim", "n_classes"):
+        for field in ("patch_dim", "dim", "depth", "heads", "ffn_dim", "n_classes",
+                      "rpe_hidden"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1")
+        if self.dim % self.heads != 0:
+            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
 
     @property
     def head_dim(self) -> int:
@@ -204,10 +205,3 @@ def top_class(logits: np.ndarray) -> int:
 
 def predict(params: dict, cfg: ModelConfig, patches: np.ndarray) -> int:
     return top_class(forward(params, cfg, patches).data)
-
-
-def export_attention(params: dict, cfg: ModelConfig, patches: np.ndarray) -> list:
-    """Attention weight matrices, one list of (N+1, N+1) arrays per block."""
-    trace: dict = {}
-    encode(params, cfg, patches, trace=trace)
-    return trace["attn"]

@@ -48,8 +48,9 @@ class Tensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g + 0.0  # the bits of zeros + g (-0.0 + 0.0 is +0.0), not g itself
+        else:
+            self.grad += g
 
 
 def _as2d(name, t):
@@ -163,14 +164,6 @@ def first_row(a: Tensor) -> Tensor:
         a.accumulate(full)
 
     out._pullback = pull
-    return out
-
-
-def mean_last_axis(a: Tensor) -> Tensor:
-    da = _as2d("mean_last_axis", a)
-    m = da.shape[1]
-    out = Tensor(da.mean(axis=1, keepdims=True), parents=(a,))
-    out._pullback = lambda g: a.accumulate(np.repeat(g, m, axis=1) / m)
     return out
 
 

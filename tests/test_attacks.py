@@ -10,13 +10,20 @@ from picrypt.attacks import (
     dump_arrangement,
     edge_dissimilarity,
     grad_leak_invert,
-    identity_arrangement,
     jigsaw_solve,
     mi_collision,
     puzzle_metrics,
 )
 from picrypt.errors import GeometryError, ShapeError
 from picrypt.imgio import Image, split_patches
+
+
+def identity_arrangement(rows, cols, indices=None):
+    """Each patch index at its row-major slot, restricted to ``indices`` if
+    given: the ground truth of an unshuffled puzzle."""
+    keep = range(rows * cols) if indices is None else sorted(set(indices))
+    return Arrangement(rows=rows, cols=cols,
+                       placement={(i // cols, i % cols): i for i in keep})
 
 
 def smooth_image(size, seed=0):

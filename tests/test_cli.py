@@ -279,6 +279,16 @@ def test_empty_splits_are_data_errors(tmp_path, capsys):
     assert "no images" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [("heads", 0), ("rpe_hidden", 0), ("rpe_hidden", -1)])
+def test_train_bad_model_field_is_config_error(tmp_path, capsys, field, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + f"model.rpe = true\nmodel.{field} = {value}\n")
+    ckpt = tmp_path / "m.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+    assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_bad_config_key_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("data.bogus = 1\n")

@@ -8,12 +8,18 @@ from picrypt.imgio import (
     Image,
     PatchGrid,
     assemble,
-    join_subpatches,
     load_ppm,
     save_ppm,
     split_patches,
     split_subpatches,
 )
+
+
+def join_subpatches(subs):
+    """Inverse of split_subpatches, the oracle for its order: reassemble
+    [top-left, top-right, bottom-left, bottom-right]."""
+    return np.concatenate([np.concatenate(subs[:2], axis=1),
+                           np.concatenate(subs[2:], axis=1)], axis=0)
 
 
 def rand_image(rng, h, w, c):

@@ -6,8 +6,8 @@ import pytest
 from picrypt.errors import ConfigError, ShapeError
 from picrypt.pevit import (
     ModelConfig,
+    encode,
     encoder_block,
-    export_attention,
     forward,
     init_params,
     loss_fn,
@@ -20,7 +20,6 @@ from picrypt.tensor import (
     backward,
     grad_check,
     matmul,
-    mean_last_axis,
     scale,
     softmax_rows,
     transpose_last_two as transpose,
@@ -37,6 +36,13 @@ def t(arr):
 
 def rand_patches(rng, n=6, dim=CFG.patch_dim):
     return rng.random((n, dim))
+
+
+def export_attention(params, cfg, patches):
+    """Attention weights, one list of (N+1, N+1) arrays per block."""
+    trace = {}
+    encode(params, cfg, patches, trace=trace)
+    return trace["attn"]
 
 
 def attention(q, k, v):
@@ -60,6 +66,16 @@ def test_config_rejects_nonpositive_fields():
         ModelConfig(patch_dim=0)
     with pytest.raises(ConfigError):
         ModelConfig(patch_dim=12, depth=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("heads", 0), ("heads", -2), ("rpe_hidden", 0), ("rpe_hidden", -1),
+])
+def test_config_rejects_zero_heads_and_rpe_hidden(field, value):
+    # heads is range-checked before dim % heads, so 0 is a ConfigError,
+    # not a ZeroDivisionError
+    with pytest.raises(ConfigError, match=field):
+        ModelConfig(patch_dim=12, rpe=True, **{field: value})
 
 
 def test_init_params_names_and_shapes():
@@ -176,8 +192,9 @@ def test_encoder_block_gradients():
     def f(params):
         out = encoder_block(params, "layer0", t(z), heads=2)
         n = out.data.shape[0]
-        pick = Tensor(np.full((1, n), 1.0 / n))
-        return mean_last_axis(matmul(pick, out))
+        rows = Tensor(np.full((1, n), 1.0 / n))
+        cols = Tensor(np.full((out.data.shape[1], 1), 1.0 / out.data.shape[1]))
+        return matmul(matmul(rows, out), cols)  # mean of every entry
 
     rep = grad_check(f, block, tolerance=1e-4, max_entries=200, seed=0)
     assert rep.passed, f"block grad error {rep.max_rel_error:.2e} at {rep.param}"

@@ -21,7 +21,6 @@ from picrypt.tensor import (
     layer_norm,
     load_checkpoint,
     matmul,
-    mean_last_axis,
     save_checkpoint,
     scale,
     sigmoid,
@@ -33,6 +32,14 @@ from picrypt.tensor import (
 
 def t(arr):
     return Tensor(np.asarray(arr, dtype=np.float64))
+
+
+def mean_last_axis(a: Tensor) -> Tensor:
+    """Row means (n, 1) as a tape op: the reduction scalar_sum is built on."""
+    m = a.data.shape[1]
+    out = Tensor(a.data.mean(axis=1, keepdims=True), parents=(a,))
+    out._pullback = lambda g: a.accumulate(np.repeat(g, m, axis=1) / m)
+    return out
 
 
 def scalar_sum(x: Tensor) -> Tensor:
@@ -219,6 +226,18 @@ def test_grad_accumulates_across_backward_calls():
     assert np.array_equal(x.grad, 2 * first)
     zero_grads({"x": x})
     assert x.grad is None
+
+
+def test_first_accumulate_is_a_fresh_positive_zero():
+    # zeros + g semantics: -0.0 + 0.0 is +0.0, and the grad never aliases g
+    x = t([[1.0, 2.0]])
+    g = np.array([[-0.0, 3.0]])
+    x.accumulate(g)
+    assert np.array_equal(x.grad, [[0.0, 3.0]])
+    assert not np.signbit(x.grad[0, 0])
+    assert not np.shares_memory(x.grad, g)
+    x.accumulate(g)
+    assert np.array_equal(g, [[-0.0, 3.0]]) and np.array_equal(x.grad, [[0.0, 6.0]])
 
 
 def test_shared_subexpression_accumulates():
