@@ -9,12 +9,17 @@ from __future__ import annotations
 import argparse
 import itertools
 import sys
+from decimal import Decimal
 
 import numpy as np
 
 from . import attacks, cipher, harness, imgio, pevit
 from .errors import DataError, PicryptError
 from .tensor import grad_check, load_checkpoint
+
+
+# largest `keyspace --n`: 256x256 one-pixel patches (65536! has 287,194 digits)
+MAX_KEYSPACE_N = 1 << 16
 
 
 class _UsageError(Exception):
@@ -136,9 +141,11 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_keyspace(args) -> int:
-    if args.n < 0:
-        raise _UsageError("--n must be >= 0")
-    print(cipher.keyspace(args.n))
+    if not 0 <= args.n <= MAX_KEYSPACE_N:
+        raise _UsageError(f"--n must be in 0..{MAX_KEYSPACE_N}")
+    # from n = 1559, n! has more digits than str(int) allows by default
+    # (4300); Decimal converts exactly without that limit
+    print(Decimal(cipher.keyspace(args.n)))
     return 0
 
 
@@ -222,8 +229,7 @@ def _cmd_leakage(args) -> int:
                              train_per_class=per_class, test_per_class=0,
                              marker=True, seed=args.seed)
     corpus = harness.gen_dataset(spec).train_x[: args.images]
-    ratio = harness.leakage_ratio(harness.white_marker_count, corpus,
-                                  args.mode, patch_size=args.patch,
+    ratio = harness.leakage_ratio(corpus, args.mode, patch_size=args.patch,
                                   seed=args.seed)
     print(f"ratio={ratio:.6f}")
     return 0

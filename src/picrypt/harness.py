@@ -25,11 +25,11 @@ from .cipher import (
     quantize_mixed,
     rs_encrypt,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, KeyMismatchError
 from .imgio import Image, assemble, split_patches
 from .pevit import ModelConfig
 from .rng import SplitMix64
-from .tensor import Tensor, add, backward, cross_entropy, save_checkpoint, zero_grads
+from .tensor import Tensor, add, backward, cross_entropy, save_checkpoint
 
 # ten distinct bright colors, none close to white (the leakage marker is
 # the only source of exact 255/255/255 pixels)
@@ -40,6 +40,13 @@ PALETTE = (
 )
 
 MARKER_SIZE = 8
+
+# gen_puzzle_corpus: coarse-field control-point spacing (pixels), and the
+# amplitudes of the pixel noise, the intensity bowl and the coarse field
+PUZZLE_CELL = 12
+PUZZLE_NOISE_AMP = 8.0
+PUZZLE_BOWL_AMP = 110.0
+PUZZLE_FIELD_AMP = 55.0
 
 
 @dataclass(frozen=True)
@@ -143,31 +150,30 @@ def _bilinear_upsample(field: np.ndarray, size: int) -> np.ndarray:
             + c * fy * (1 - fx) + d * fy * fx)
 
 
-def gen_puzzle_corpus(n: int, image_size: int, seed: int = 0,
-                      cell: int = 12, noise_amp: float = 8.0,
-                      bowl_amp: float = 110.0, field_amp: float = 55.0) -> list:
+def gen_puzzle_corpus(n: int, image_size: int, seed: int = 0) -> list:
     """Images with smooth low-frequency structure for the jigsaw experiments.
 
     Each image is a quadratic intensity bowl (globally unique levels, so no
     two distant regions look alike) plus a bilinearly upsampled coarse
-    random field (one control point every ``cell`` pixels) plus mild pixel
-    noise. Adjacent pixels correlate strongly, pixels a few steps apart
+    random field (one control point every ``PUZZLE_CELL`` pixels) plus mild
+    pixel noise. Adjacent pixels correlate strongly, pixels a few steps apart
     much less — which is what makes seam matching work at interval 0 and
     fail as gap pixels are discarded. Deliberately no flat regions:
     constant areas produce zero-cost impostor seams that poison any
     boundary-based solver.
     """
     rng = np.random.default_rng(seed)
-    coarse = max(2, image_size // cell)
+    coarse = max(2, image_size // PUZZLE_CELL)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
     out = []
     for _ in range(n):
         cx, cy = rng.uniform(0.2 * image_size, 0.8 * image_size, 2)
         d2 = ((xx - cx) ** 2 + (yy - cy) ** 2) / (image_size * image_size / 2.0)
-        bowl = bowl_amp * (1.0 - np.clip(d2, 0.0, 1.0))
-        field = rng.uniform(-field_amp, field_amp, size=(coarse, coarse, 3))
+        bowl = PUZZLE_BOWL_AMP * (1.0 - np.clip(d2, 0.0, 1.0))
+        field = rng.uniform(-PUZZLE_FIELD_AMP, PUZZLE_FIELD_AMP,
+                            size=(coarse, coarse, 3))
         img = 60.0 + bowl[..., None] + _bilinear_upsample(field, image_size)
-        img += rng.uniform(-noise_amp, noise_amp, size=img.shape)
+        img += rng.uniform(-PUZZLE_NOISE_AMP, PUZZLE_NOISE_AMP, size=img.shape)
         out.append(np.clip(np.rint(img), 0, 255).astype(np.uint8))
     return out
 
@@ -182,9 +188,6 @@ class TrainConfig:
     epochs: int = 20
     batch: int = 1
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     encryption: str = "rs"
     patch_size: int = 16
     interval: int = 0
@@ -201,10 +204,8 @@ class TrainConfig:
         kind, _ = parse_mode(self.encryption)
         if self.drop_ratio > 0.0 and kind not in ("none", "rs"):
             raise ConfigError("drop_ratio is only supported for none/rs settings")
-        if not (0.0 < self.lr < np.inf and 0.0 < self.eps < np.inf):
-            raise ConfigError(f"lr and eps must be finite and > 0, got {self.lr}, {self.eps}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"beta1 and beta2 must be in [0, 1), got {self.beta1}, {self.beta2}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
 
 def expected_patch_dim(patch_size: int, channels: int, encryption: str) -> int:
@@ -233,6 +234,9 @@ def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.n
 
 # elements per block of Adam.step: six 512 KiB slices stay in cache
 ADAM_BLOCK = 1 << 16
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -243,17 +247,16 @@ class Adam:
     accumulated carries over), and each Tensor's ``.data`` and ``.grad``
     become views of them. ``step`` works in place, block by block, with the
     per-element operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-    data -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order, so its bits are
+    data -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order (b1, b2 and eps
+    are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``), so its bits are
     that expression's. After a step the gradients are zeroed views, not
     None, and every parameter is stepped: one that got no gradient still
-    moves by its decayed moments. Never ``tensor.zero_grads`` the params:
-    that detaches their gradients from ``grad``, and the step ignores them.
+    moves by its decayed moments.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = TrainConfig.lr):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.t = 0
         tensors = [params[name] for name in sorted(params)]
         self.data = np.concatenate([p.data.ravel() for p in tensors])
@@ -267,7 +270,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for start in range(0, self.data.size, ADAM_BLOCK):
             part = slice(start, start + ADAM_BLOCK)
@@ -284,7 +287,7 @@ class Adam:
             a *= self.lr
             np.divide(v, c2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             self.data[part] -= a
         self.grad.fill(0.0)
@@ -316,7 +319,7 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
         raise DataError("no training images")
     _check_geometry(cfg, data.train_x)
     params = pevit.init_params(cfg.model, seed=cfg.seed)
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    opt = Adam(params, lr=cfg.lr)
     key_rng = SplitMix64(cfg.seed)
     order_rng = np.random.default_rng(cfg.seed)
     history = []
@@ -395,8 +398,7 @@ def baseline_forward(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Ten
 # gradient leakage, end to end
 
 
-def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0,
-                  model_cfg: ModelConfig | None = None) -> dict:
+def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0) -> dict:
     """Recover a patch from a single-token training gradient.
 
     The image is RS-encrypted, one patch token is pushed through the full
@@ -412,11 +414,9 @@ def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0,
     enc = rs_encrypt(grid, key)
     x_cipher = enc.patches[0].reshape(-1).astype(np.float64) / 255.0
     x_plain = grid.patches[0].reshape(-1).astype(np.float64) / 255.0
-    if model_cfg is None:
-        model_cfg = ModelConfig(patch_dim=x_cipher.size, dim=32, depth=2,
-                                heads=2, ffn_dim=64, n_classes=10)
+    model_cfg = ModelConfig(patch_dim=x_cipher.size, dim=32, depth=2,
+                            heads=2, ffn_dim=64, n_classes=10)
     params = pevit.init_params(model_cfg, seed=seed)
-    zero_grads(params)
     loss = cross_entropy(pevit.forward(params, model_cfg, x_cipher[None, :]), 0)
     backward(loss)
     recovered = grad_leak_invert(params["embed.w"].grad)
@@ -462,15 +462,16 @@ def encrypt_pixels(pixels: np.ndarray, encryption: str, patch_size: int,
     return assemble(grid).pixels
 
 
-def leakage_ratio(detector, corpus, encryption: str, patch_size: int = 16,
+def leakage_ratio(corpus, encryption: str, patch_size: int = 16,
                   seed: int = 0) -> float:
-    """detections(encrypted corpus) / detections(original corpus)."""
+    """Marker detections (white_marker_count) in the encrypted corpus over
+    those in the original corpus."""
     rng = SplitMix64(seed)
     base = 0
     enc = 0
     for pixels in corpus:
-        base += detector(pixels)
-        enc += detector(encrypt_pixels(pixels, encryption, patch_size, rng))
+        base += white_marker_count(pixels)
+        enc += white_marker_count(encrypt_pixels(pixels, encryption, patch_size, rng))
     if base == 0:
         raise DataError("no detections on the original corpus; ratio undefined")
     return enc / base
@@ -488,6 +489,8 @@ def truth_for_key(key, rows: int, cols: int, encrypted_patches, *,
     whose true slot is its row-major position in the original grid.
     Positions marked in ``holes`` are left out.
     """
+    if key.n != rows * cols:
+        raise KeyMismatchError(f"key is for {key.n} patches, grid has {rows}x{cols}")
     n = len(encrypted_patches)
     kept = range(n) if holes is None else np.flatnonzero(~np.asarray(holes, dtype=bool))
     placement = {}
@@ -513,7 +516,8 @@ def solve_image(pixels: np.ndarray, patch_size: int, interval: int,
 
 def solve_corpus(corpus, patch_size: int, interval: int = 0,
                  drop_ratio: float = 0.0, seed: int = 0) -> dict:
-    """Mean solver metrics over a corpus, one fresh key per image."""
+    """Mean solver metrics over a corpus, one fresh key per image; an empty
+    corpus has no mean."""
     rng = SplitMix64(seed)
     direct = []
     neighbor = []
@@ -521,6 +525,8 @@ def solve_corpus(corpus, patch_size: int, interval: int = 0,
         m = solve_image(pixels, patch_size, interval, drop_ratio, rng.next_u64())
         direct.append(m["direct"])
         neighbor.append(m["neighbor"])
+    if not direct:
+        raise DataError("no images to solve; solver accuracy is undefined")
     return {
         "direct": float(np.mean(direct)),
         "neighbor": float(np.mean(neighbor)),
@@ -615,62 +621,44 @@ def load_config(path) -> dict:
         return parse_config_text(fh.read())
 
 
-def _get(d, key, conv, default):
-    if key not in d:
-        return default
-    raw = d[key]
-    try:
-        if conv is bool:
-            return _BOOL[raw.lower()]
-        return conv(raw)
-    except (ValueError, KeyError):
-        raise ConfigError(f"bad value for {key}: {raw!r}") from None
-
-
-_KNOWN_KEYS = {
-    "data.image_size", "data.classes", "data.train_per_class",
-    "data.test_per_class", "data.marker", "data.seed",
-    "model.dim", "model.depth", "model.heads", "model.ffn_dim",
-    "model.rpe", "model.rpe_hidden",
-    "train.epochs", "train.batch", "train.lr", "train.seed",
-    "enc.mode", "enc.patch_size", "enc.interval", "enc.drop_ratio",
+# config-file key -> (dataclass, field); the key is section.field except
+# for enc.mode, and a key left out keeps the field's default
+_CONFIG_KEYS = {
+    **{f"data.{name}": (SynthSpec, name) for name in (
+        "image_size", "classes", "train_per_class", "test_per_class", "marker", "seed")},
+    **{f"model.{name}": (ModelConfig, name) for name in (
+        "dim", "depth", "heads", "ffn_dim", "rpe", "rpe_hidden")},
+    **{f"train.{name}": (TrainConfig, name) for name in ("epochs", "batch", "lr", "seed")},
+    **{f"enc.{name}": (TrainConfig, name) for name in ("patch_size", "interval", "drop_ratio")},
+    "enc.mode": (TrainConfig, "encryption"),
 }
 
 
 def config_specs(d: dict) -> tuple:
-    """Build (SynthSpec, TrainConfig) from a parsed key=value dict."""
-    unknown = set(d) - _KNOWN_KEYS
+    """Build (SynthSpec, TrainConfig) from a parsed key=value dict.
+
+    Each value is converted with the type of its field's default. The model's
+    patch_dim follows from enc.patch_size and enc.mode, n_classes from
+    data.classes.
+    """
+    unknown = set(d) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    spec = SynthSpec(
-        image_size=_get(d, "data.image_size", int, 64),
-        classes=_get(d, "data.classes", int, 10),
-        train_per_class=_get(d, "data.train_per_class", int, 500),
-        test_per_class=_get(d, "data.test_per_class", int, 100),
-        marker=_get(d, "data.marker", bool, False),
-        seed=_get(d, "data.seed", int, 0),
-    )
-    encryption = _get(d, "enc.mode", str, "rs")
-    patch_size = _get(d, "enc.patch_size", int, 16)
+    kwargs = {SynthSpec: {}, ModelConfig: {}, TrainConfig: {}}
+    for key, (cls, name) in _CONFIG_KEYS.items():
+        value = getattr(cls, name)  # the field's default
+        if key in d:
+            raw = d[key]
+            try:
+                value = _BOOL[raw.lower()] if type(value) is bool else type(value)(raw)
+            except (ValueError, KeyError):
+                raise ConfigError(f"bad value for {key}: {raw!r}") from None
+        kwargs[cls][name] = value
+    spec = SynthSpec(**kwargs[SynthSpec])
+    train_kw = kwargs[TrainConfig]
     model = ModelConfig(
-        patch_dim=expected_patch_dim(patch_size, 3, encryption),
-        dim=_get(d, "model.dim", int, 64),
-        depth=_get(d, "model.depth", int, 4),
-        heads=_get(d, "model.heads", int, 4),
-        ffn_dim=_get(d, "model.ffn_dim", int, 256),
+        patch_dim=expected_patch_dim(train_kw["patch_size"], 3, train_kw["encryption"]),
         n_classes=spec.classes,
-        rpe=_get(d, "model.rpe", bool, False),
-        rpe_hidden=_get(d, "model.rpe_hidden", int, 64),
+        **kwargs[ModelConfig],
     )
-    cfg = TrainConfig(
-        model=model,
-        epochs=_get(d, "train.epochs", int, 20),
-        batch=_get(d, "train.batch", int, 1),
-        lr=_get(d, "train.lr", float, 1e-3),
-        encryption=encryption,
-        patch_size=patch_size,
-        interval=_get(d, "enc.interval", int, 0),
-        drop_ratio=_get(d, "enc.drop_ratio", float, 0.0),
-        seed=_get(d, "train.seed", int, 0),
-    )
-    return spec, cfg
+    return spec, TrainConfig(model=model, **train_kw)

@@ -183,7 +183,7 @@ def softmax_rows(a: Tensor) -> Tensor:
     return out
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_EPS) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each row to zero mean / unit variance, then affine scale."""
     dx = _as2d("layer_norm", x)
     d = dx.shape[1]
@@ -196,7 +196,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = LAYER_NORM_E
         )
     mu = dx.mean(axis=1, keepdims=True)
     var = ((dx - mu) ** 2).mean(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (dx - mu) * inv_std
     out = Tensor(grow * xhat + brow, parents=(x, gamma, beta))
 
@@ -279,8 +279,11 @@ def backward(loss: Tensor) -> None:
 
 
 def zero_grads(params) -> None:
+    """Zero each existing gradient in place, so a gradient that is a view
+    (as ``harness.Adam`` makes them) stays one."""
     for t in params.values():
-        t.grad = None
+        if t.grad is not None:
+            t.grad.fill(0.0)
 
 
 @dataclass

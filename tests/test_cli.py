@@ -1,10 +1,13 @@
 """Tests for the command-line front end: verbs, formats, exit codes."""
 
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
 import picrypt.cipher
-from picrypt.cli import run
+from picrypt.cli import MAX_KEYSPACE_N, run
 from picrypt.errors import ConfigError
 from picrypt.harness import TrainConfig
 from picrypt.imgio import Image, load_ppm, save_ppm
@@ -107,6 +110,18 @@ def test_keyspace_values(capsys):
     assert run(["keyspace", "--n", "-1"]) == 1
 
 
+def test_keyspace_prints_every_digit_past_the_str_limit(capsys):
+    # 3136 patches is 224x224 at P=4: 9605 digits, past CPython's default 4300
+    assert run(["keyspace", "--n", "3136"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert len(out) == 9605 and Decimal(out) == math.factorial(3136)  # exact digits
+
+
+def test_keyspace_bound_is_usage_error(capsys):
+    assert run(["keyspace", "--n", str(MAX_KEYSPACE_N + 1)]) == 1
+    assert str(MAX_KEYSPACE_N) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- encrypt
 
 
@@ -167,6 +182,16 @@ def test_attack_jigsaw_with_key_scores_metrics(tmp_path, capsys):
     assert "direct=1.000000" in out
     assert "neighbor=1.000000" in out
     assert out.count("slot ") == 16
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_attack_jigsaw_key_of_wrong_size_is_key_error(tmp_path, capsys, n):
+    # a 64x64 image at P=16 has 16 patches; keys for fewer and for more fail alike
+    write_image(tmp_path / "a.ppm", size=64, seed=8)
+    picrypt.cipher.save_key(picrypt.cipher.gen_key(3, n), tmp_path / "k.key")
+    assert run(["attack-jigsaw", "--in", str(tmp_path / "a.ppm"),
+                "--patch", "16", "--key", str(tmp_path / "k.key")]) == 2
+    assert f"key is for {n} patches, grid has 4x4" in capsys.readouterr().err
 
 
 def test_attack_jigsaw_writes_file(tmp_path):
@@ -320,6 +345,15 @@ def test_sweep_csv_output(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].startswith("16,0,0,48,") and lines[2].startswith("16,2,0,48,")
     assert lines[1].endswith(",nan")
+
+
+@pytest.mark.parametrize("images", ["0", "-2"])
+def test_sweep_without_images_is_data_error(tmp_path, capsys, images):
+    dest = tmp_path / "sweep.csv"
+    assert run(["sweep", "--image-size", "48", "--images", images,
+                "--out", str(dest)]) == 2
+    assert "no images" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_sweep_bad_list_is_usage_error(capsys):

@@ -224,8 +224,9 @@ def test_grad_accumulates_across_backward_calls():
     first = x.grad.copy()
     backward(matmul(x, x))
     assert np.array_equal(x.grad, 2 * first)
+    grad = x.grad
     zero_grads({"x": x})
-    assert x.grad is None
+    assert x.grad is grad and np.array_equal(grad, [[0.0]])  # zeroed in place
 
 
 def test_first_accumulate_is_a_fresh_positive_zero():
