@@ -16,7 +16,7 @@ Three attacks, each matched to what it can and cannot recover:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,28 +27,29 @@ from .rng import SplitMix64
 _REL_RANK = {"right": 0, "below": 1, "left": 2, "above": 3}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Arrangement:
     """A placement of patch indices into a rows x cols slot grid.
 
-    placement maps (row, col) -> patch index; missing slots are empty.
+    slots[r, c] is the patch index in slot (r, c); -1 marks an empty slot.
     """
 
-    rows: int
-    cols: int
-    placement: dict = field(default_factory=dict)
+    slots: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for (r, c), i in self.placement.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise GeometryError(f"slot ({r}, {c}) outside {self.rows}x{self.cols}")
-            if i in seen:
-                raise GeometryError(f"patch {i} placed twice")
-            seen.add(i)
-
-    def slot_of(self) -> dict:
-        return {i: rc for rc, i in self.placement.items()}
+        slots = np.asarray(self.slots)
+        if slots.size and not np.can_cast(slots.dtype, np.int64):
+            raise GeometryError(f"slots must hold int64 patch indices, got {slots.dtype}")
+        slots = slots.astype(np.int64)  # a copy, so the caller's array may change
+        if slots.ndim != 2:
+            raise GeometryError(f"slots must be a 2-D array, got shape {slots.shape}")
+        if (slots < -1).any():
+            raise GeometryError("patch index below -1 in slots")
+        ids, counts = np.unique(slots[slots >= 0], return_counts=True)
+        if (counts > 1).any():
+            raise GeometryError(f"patch {ids[counts > 1][0]} placed twice")
+        slots.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
 
 
 def _norm_patch(p: np.ndarray) -> np.ndarray:
@@ -79,6 +80,10 @@ def edge_dissimilarity(a, b, relation: str) -> float:
 # rows of the seam tables filled per step: bounds the (rows, n, edge)
 # difference temporary at about 19 MB for 3136 patches of side 4
 _TABLE_BLOCK = 64
+
+# most patches one solve takes: its two n x n float64 seam tables are then
+# 128 MiB each (3136 patches, a 224^2 image at P=4, need 75 MiB each)
+MAX_SOLVE_PATCHES = 4096
 
 
 def _dissimilarity_tables(patches: np.ndarray):
@@ -133,15 +138,17 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
     else:
         idx_map = np.flatnonzero(~np.asarray(holes, dtype=bool)).tolist()
     n = len(idx_map)
+    if n > MAX_SOLVE_PATCHES:
+        raise GeometryError(f"{n} patches exceed the solver bound of {MAX_SOLVE_PATCHES}")
     if n > rows * cols:
         raise GeometryError(f"{n} patches cannot fit {rows}x{cols} slots")
-    if n == 0:
-        return Arrangement(rows=rows, cols=cols, placement={})
+    slots = np.full((rows, cols), -1, dtype=np.int64)
+    if n <= 1:  # nothing to match: a lone patch goes to slot (0, 0)
+        slots.flat[:n] = idx_map
+        return Arrangement(slots)
     stack = patches[idx_map].astype(np.float64)
     if patches.dtype == np.uint8:  # the scaling of _norm_patch, all at once
         stack /= 255.0
-    if n == 1:
-        return Arrangement(rows=rows, cols=cols, placement={(0, 0): idx_map[0]})
 
     d_right, d_below = _dissimilarity_tables(stack)
 
@@ -221,57 +228,45 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
         stale = {s for s, key in frontier.items() if key[1] == pick}
         stale.update(open_neighbors(r, c))
 
-    placement = {
-        (r - lo_r, c - lo_c): idx_map[i] for (r, c), i in placed.items()
-    }
-    return Arrangement(rows=rows, cols=cols, placement=placement)
+    for (r, c), i in placed.items():
+        slots[r - lo_r, c - lo_c] = idx_map[i]
+    return Arrangement(slots)
 
 
 def puzzle_metrics(found: Arrangement, truth: Arrangement) -> dict:
     """direct: best-translation fraction of exact slots; neighbor: preserved
     adjacent pairs with the same relation."""
-    if (found.rows, found.cols) != (truth.rows, truth.cols):
-        raise GeometryError(
-            f"geometry mismatch: {found.rows}x{found.cols} vs {truth.rows}x{truth.cols}"
-        )
-    t_slot = truth.slot_of()
-    f_slot = found.slot_of()
-    common = [i for i in t_slot if i in f_slot]
-    total = len(t_slot)
+    f, t = found.slots, truth.slots
+    if f.shape != t.shape:
+        raise GeometryError("geometry mismatch: {}x{} vs {}x{}".format(*f.shape, *t.shape))
+    t_at, f_at = np.argwhere(t >= 0), np.argwhere(f >= 0)  # row-major, as t[t >= 0]
+    _, ti, fi = np.intersect1d(t[t >= 0], f[f >= 0], assume_unique=True,
+                               return_indices=True)
+    d = t_at[ti] - f_at[fi]
+    # per truth slot, the translation from the found slot of its patch as one
+    # number (|d[:, 1]| < cols); NaN where found lacks the patch
+    code = d[:, 0] * 2 * t.shape[1] + d[:, 1]
+    shift = np.full(t.shape, np.nan)
+    shift[tuple(t_at[ti].T)] = code
     direct = 0.0
-    if common and total:
-        shifts = {}
-        for i in common:
-            tr, tc = t_slot[i]
-            fr, fc = f_slot[i]
-            d = (tr - fr, tc - fc)
-            shifts[d] = shifts.get(d, 0) + 1
-        direct = max(shifts.values()) / total
+    if code.size:
+        direct = int(np.unique(code, return_counts=True)[1].max()) / len(t_at)
 
-    pairs = 0
-    kept = 0
-    for (r, c), i in truth.placement.items():
-        for rel, s in (("right", (r, c + 1)), ("below", (r + 1, c))):
-            if s not in truth.placement:
-                continue
-            j = truth.placement[s]
-            pairs += 1
-            if i not in f_slot or j not in f_slot:
-                continue
-            fr, fc = f_slot[i]
-            want = (fr, fc + 1) if rel == "right" else (fr + 1, fc)
-            if f_slot[j] == want:
-                kept += 1
+    # a truth pair is kept when found holds both patches under one
+    # translation, and so in the same relation
+    pairs = kept = 0
+    for first, second in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:])):
+        # right pairs, then below pairs
+        pairs += int(((t[first] >= 0) & (t[second] >= 0)).sum())
+        kept += int((shift[first] == shift[second]).sum())
     neighbor = kept / pairs if pairs else 1.0
     return {"direct": direct, "neighbor": neighbor}
 
 
 def dump_arrangement(arr: Arrangement, metrics: dict | None = None) -> str:
     """Text form: one "slot r c -> patch i" line per filled slot, then metrics."""
-    lines = [
-        f"slot {r} {c} -> patch {arr.placement[(r, c)]}"
-        for r, c in sorted(arr.placement)
-    ]
+    lines = [f"slot {r} {c} -> patch {arr.slots[r, c]}"
+             for r, c in np.argwhere(arr.slots >= 0)]  # row-major
     if metrics is not None:
         lines.append(f"direct={metrics['direct']:.6f}")
         lines.append(f"neighbor={metrics['neighbor']:.6f}")

@@ -224,6 +224,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_leakage(args) -> int:
     _parse_mode(args.mode)
+    if args.images < 1:
+        raise DataError("--images must be >= 1: the ratio is undefined without images")
     per_class = max(1, -(-args.images // 10))
     spec = harness.SynthSpec(image_size=args.image_size, classes=10,
                              train_per_class=per_class, test_per_class=0,

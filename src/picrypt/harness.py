@@ -41,6 +41,10 @@ PALETTE = (
 
 MARKER_SIZE = 8
 
+# largest image side that SynthSpec and gen_puzzle_corpus accept: each
+# generated image allocates a few (side, side, 3) float64 or int64 arrays
+MAX_IMAGE_SIZE = 1024
+
 # gen_puzzle_corpus: coarse-field control-point spacing (pixels), and the
 # amplitudes of the pixel noise, the intensity bowl and the coarse field
 PUZZLE_CELL = 12
@@ -61,8 +65,8 @@ class SynthSpec:
     def __post_init__(self):
         if not 1 <= self.classes <= len(PALETTE):
             raise ConfigError(f"classes must be in 1..{len(PALETTE)}")
-        if self.image_size < 16:
-            raise ConfigError("image_size must be at least 16")
+        if not 16 <= self.image_size <= MAX_IMAGE_SIZE:
+            raise ConfigError(f"image_size must be in 16..{MAX_IMAGE_SIZE}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +166,8 @@ def gen_puzzle_corpus(n: int, image_size: int, seed: int = 0) -> list:
     constant areas produce zero-cost impostor seams that poison any
     boundary-based solver.
     """
+    if image_size > MAX_IMAGE_SIZE:
+        raise ConfigError(f"image_size must be at most {MAX_IMAGE_SIZE}")
     rng = np.random.default_rng(seed)
     coarse = max(2, image_size // PUZZLE_CELL)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
@@ -491,13 +497,12 @@ def truth_for_key(key, rows: int, cols: int, encrypted_patches, *,
     """
     if key.n != rows * cols:
         raise KeyMismatchError(f"key is for {key.n} patches, grid has {rows}x{cols}")
-    n = len(encrypted_patches)
-    kept = range(n) if holes is None else np.flatnonzero(~np.asarray(holes, dtype=bool))
-    placement = {}
-    for i in kept:
-        orig = key.perm[i]
-        placement[(orig // cols, orig % cols)] = int(i)
-    return Arrangement(rows=rows, cols=cols, placement=placement)
+    kept = np.arange(len(encrypted_patches))
+    if holes is not None:
+        kept = kept[~np.asarray(holes, dtype=bool)]
+    slots = np.full(rows * cols, -1, dtype=np.int64)
+    slots[np.asarray(key.perm)[kept]] = kept
+    return Arrangement(slots.reshape(rows, cols))
 
 
 def solve_image(pixels: np.ndarray, patch_size: int, interval: int,
@@ -543,7 +548,13 @@ class SweepCell:
     image_size: int = 224
 
 
-SWEEP_HEADER = "patch_size,interval,drop_ratio,image_size,solver_direct,solver_neighbor,model_accuracy"
+# sweep CSV columns and their format specs, in order; the first four are
+# the SweepCell fields
+SWEEP_COLUMNS = (
+    ("patch_size", ""), ("interval", ""), ("drop_ratio", "g"), ("image_size", ""),
+    ("solver_direct", ".6f"), ("solver_neighbor", ".6f"), ("model_accuracy", ".6f"),
+)
+SWEEP_HEADER = ",".join(name for name, _ in SWEEP_COLUMNS)
 
 
 def sweep(cells, seed: int = 0, corpus_size: int = 20,
@@ -572,26 +583,15 @@ def sweep(cells, seed: int = 0, corpus_size: int = 20,
             )
             params, _ = train(cfg, data)
             acc = evaluate(params, cfg, data.test_x, data.test_y, seed=seed)
-        rows.append({
-            "patch_size": cell.patch_size,
-            "interval": cell.interval,
-            "drop_ratio": cell.drop_ratio,
-            "image_size": cell.image_size,
-            "solver_direct": solved["direct"],
-            "solver_neighbor": solved["neighbor"],
-            "model_accuracy": acc,
-        })
+        values = dataclasses.astuple(cell) + (solved["direct"], solved["neighbor"], acc)
+        rows.append(dict(zip((name for name, _ in SWEEP_COLUMNS), values)))
     return rows
 
 
 def sweep_to_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['patch_size']},{r['interval']},{r['drop_ratio']:g},"
-            f"{r['image_size']},{r['solver_direct']:.6f},"
-            f"{r['solver_neighbor']:.6f},{r['model_accuracy']:.6f}"
-        )
+    lines = [SWEEP_HEADER] + [
+        ",".join(format(r[name], spec) for name, spec in SWEEP_COLUMNS) for r in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

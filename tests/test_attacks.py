@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from picrypt import attacks
 from picrypt.attacks import (
+    MAX_SOLVE_PATCHES,
     Arrangement,
     dump_arrangement,
     edge_dissimilarity,
@@ -14,16 +18,24 @@ from picrypt.attacks import (
     mi_collision,
     puzzle_metrics,
 )
+from picrypt.cipher import gen_key
 from picrypt.errors import GeometryError, ShapeError
+from picrypt.harness import truth_for_key
 from picrypt.imgio import Image, split_patches
 
 
 def identity_arrangement(rows, cols, indices=None):
     """Each patch index at its row-major slot, restricted to ``indices`` if
     given: the ground truth of an unshuffled puzzle."""
-    keep = range(rows * cols) if indices is None else sorted(set(indices))
-    return Arrangement(rows=rows, cols=cols,
-                       placement={(i // cols, i % cols): i for i in keep})
+    slots = np.arange(rows * cols)
+    if indices is not None:
+        slots[~np.isin(slots, list(indices))] = -1
+    return Arrangement(slots.reshape(rows, cols))
+
+
+def placed(arr):
+    """Patch indices of the filled slots, row-major."""
+    return arr.slots[arr.slots >= 0].tolist()
 
 
 def smooth_image(size, seed=0):
@@ -43,25 +55,34 @@ def patches_of(pixels, ps):
 
 
 def test_arrangement_validates_bounds_and_uniqueness():
-    Arrangement(rows=2, cols=2, placement={(0, 0): 3, (1, 1): 0})
-    with pytest.raises(GeometryError):
-        Arrangement(rows=2, cols=2, placement={(2, 0): 0})
-    with pytest.raises(GeometryError):
-        Arrangement(rows=2, cols=2, placement={(0, 0): 1, (0, 1): 1})
+    arr = Arrangement([[3, -1], [-1, 0]])
+    assert arr.slots.dtype == np.int64 and arr.slots.shape == (2, 2)
+    with pytest.raises(GeometryError, match="2-D"):
+        Arrangement([0, 1])
+    with pytest.raises(GeometryError, match="below -1"):
+        Arrangement([[0, -2]])
+    with pytest.raises(GeometryError, match="patch 1 placed twice"):
+        Arrangement([[1, 1], [-1, 0]])
+    for bad in (np.array([[0.7, -1.0]]), np.array([[2**64 - 1]], dtype=np.uint64)):
+        with pytest.raises(GeometryError, match="int64 patch indices"):
+            Arrangement(bad)
+    assert Arrangement(np.zeros((2, 0), dtype=np.uint8)).slots.shape == (2, 0)
 
 
-def test_slot_of_inverts_placement():
-    arr = Arrangement(rows=2, cols=3, placement={(0, 2): 5, (1, 0): 1})
-    assert arr.slot_of() == {5: (0, 2), 1: (1, 0)}
+def test_arrangement_is_a_frozen_copy():
+    slots = np.array([[0, -1]])
+    arr = Arrangement(slots)
+    slots[0, 1] = 1
+    assert arr.slots.tolist() == [[0, -1]]
+    with pytest.raises(ValueError):
+        arr.slots[0, 1] = 1
 
 
 def test_identity_arrangement_row_major():
     arr = identity_arrangement(2, 3)
-    assert arr.placement[(0, 0)] == 0
-    assert arr.placement[(0, 2)] == 2
-    assert arr.placement[(1, 0)] == 3
+    assert arr.slots.tolist() == [[0, 1, 2], [3, 4, 5]]
     partial = identity_arrangement(2, 3, indices=[1, 4])
-    assert set(partial.placement.values()) == {1, 4}
+    assert partial.slots.tolist() == [[-1, 1, -1], [-1, 4, -1]]
 
 
 # ---------------------------------------------------------------- edges
@@ -103,13 +124,32 @@ def test_edge_dissimilarity_validates_inputs():
 def test_jigsaw_single_patch():
     p = np.zeros((4, 4, 1), dtype=np.uint8)
     arr = jigsaw_solve([p], 1, 1)
-    assert arr.placement == {(0, 0): 0}
+    assert arr.slots.tolist() == [[0]]
+    assert jigsaw_solve([p], 2, 3, holes=[True]).slots.tolist() == [[-1] * 3] * 2
 
 
 def test_jigsaw_rejects_overfull():
     p = np.zeros((4, 4, 1), dtype=np.uint8)
     with pytest.raises(GeometryError):
         jigsaw_solve([p] * 5, 2, 2)
+
+
+def test_jigsaw_rejects_more_patches_than_its_bound(monkeypatch):
+    # the bound is checked before the two n x n seam tables are built, and
+    # counts only the unmasked patches
+    def no_tables(stack):
+        raise RuntimeError(f"tables for {len(stack)} patches")
+
+    monkeypatch.setattr(attacks, "_dissimilarity_tables", no_tables)
+    patches = np.zeros((MAX_SOLVE_PATCHES + 1, 2, 2, 1), dtype=np.uint8)
+    with pytest.raises(GeometryError, match="solver bound"):
+        jigsaw_solve(patches, 65, 65)
+    holes = np.zeros(len(patches), dtype=bool)
+    holes[7] = True
+    with pytest.raises(RuntimeError, match=f"tables for {MAX_SOLVE_PATCHES} patches"):
+        jigsaw_solve(patches, 65, 65, holes=holes)
+    # 3136 patches, a 224^2 image at P=4, stay within the bound
+    assert MAX_SOLVE_PATCHES >= 3136
 
 
 def test_jigsaw_brute_force_2x2():
@@ -138,8 +178,7 @@ def test_jigsaw_brute_force_2x2():
         shuffled = [patches[i] for i in perm]
         arr = jigsaw_solve(shuffled, 2, 2)
         # arr places shuffled-list indices; map back to original ids
-        got = {rc: int(perm[i]) for rc, i in arr.placement.items()}
-        assert got == {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}
+        assert perm[arr.slots].tolist() == [[0, 1], [2, 3]]
 
 
 def test_jigsaw_deterministic():
@@ -150,7 +189,7 @@ def test_jigsaw_deterministic():
     shuffled = [patches[i] for i in perm]
     a = jigsaw_solve(shuffled, 3, 3)
     b = jigsaw_solve(shuffled, 3, 3)
-    assert a.placement == b.placement
+    assert np.array_equal(a.slots, b.slots)
 
 
 def test_jigsaw_skips_holes():
@@ -158,15 +197,14 @@ def test_jigsaw_skips_holes():
     patches = patches_of(pixels, 8)
     holes = np.array([False, False, True, False])
     arr = jigsaw_solve(patches, 2, 2, holes=holes)
-    assert 2 not in arr.placement.values()
-    assert len(arr.placement) == 3
+    assert sorted(placed(arr)) == [0, 1, 3]
 
 
 def test_jigsaw_normalizes_to_origin():
     pixels = smooth_image(16, seed=5)
     arr = jigsaw_solve(patches_of(pixels, 8), 2, 2)
-    assert min(r for r, _ in arr.placement) == 0
-    assert min(c for _, c in arr.placement) == 0
+    r, c = np.nonzero(arr.slots >= 0)
+    assert r.min() == 0 and c.min() == 0
 
 
 def test_jigsaw_constant_patches_still_valid():
@@ -175,8 +213,8 @@ def test_jigsaw_constant_patches_still_valid():
     patches = [np.full((4, 4, 1), 9, dtype=np.uint8) for _ in range(4)]
     a = jigsaw_solve(patches, 2, 2)
     b = jigsaw_solve(patches, 2, 2)
-    assert a.placement == b.placement
-    assert sorted(a.placement.values()) == [0, 1, 2, 3]
+    assert np.array_equal(a.slots, b.slots)
+    assert sorted(placed(a)) == [0, 1, 2, 3]
 
 
 def test_jigsaw_one_row_and_one_column_grids():
@@ -186,7 +224,8 @@ def test_jigsaw_one_row_and_one_column_grids():
     flat = [np.full((4, 4, 1), 9, dtype=np.uint8) for _ in range(4)]
     for patches, rows, cols in ((flat, 4, 1), (flat[:2], 2, 1), (flat[:3], 1, 5)):
         arr = jigsaw_solve(patches, rows, cols)
-        assert sorted(arr.placement.values()) == list(range(len(patches)))
+        assert arr.slots.shape == (rows, cols)
+        assert sorted(placed(arr)) == list(range(len(patches)))
 
 
 # ---------------------------------------------------------------- metrics
@@ -199,8 +238,8 @@ def test_metrics_perfect_match():
 
 
 def test_metrics_translation_counts_as_direct():
-    truth = Arrangement(rows=2, cols=3, placement={(0, 0): 0, (0, 1): 1})
-    shifted = Arrangement(rows=2, cols=3, placement={(1, 1): 0, (1, 2): 1})
+    truth = Arrangement([[0, 1, -1], [-1, -1, -1]])
+    shifted = Arrangement([[-1, -1, -1], [-1, 0, 1]])
     m = puzzle_metrics(shifted, truth)
     assert m["direct"] == 1.0
     assert m["neighbor"] == 1.0
@@ -209,7 +248,7 @@ def test_metrics_translation_counts_as_direct():
 def test_metrics_partial_neighbor():
     truth = identity_arrangement(1, 3)
     # swap last two patches: pair (0,1) broken, pair (1,2) broken
-    found = Arrangement(rows=1, cols=3, placement={(0, 0): 0, (0, 1): 2, (0, 2): 1})
+    found = Arrangement([[0, 2, 1]])
     m = puzzle_metrics(found, truth)
     assert m["direct"] == pytest.approx(1 / 3)
     assert m["neighbor"] == 0.0
@@ -217,7 +256,7 @@ def test_metrics_partial_neighbor():
 
 def test_metrics_missing_patches_hurt_neighbor_not_crash():
     truth = identity_arrangement(2, 2)
-    found = Arrangement(rows=2, cols=2, placement={(0, 0): 0, (0, 1): 1})
+    found = Arrangement([[0, 1], [-1, -1]])
     m = puzzle_metrics(found, truth)
     assert m["direct"] == pytest.approx(0.5)
     assert m["neighbor"] == pytest.approx(1 / 4)
@@ -238,15 +277,14 @@ def test_metrics_random_arrangement_near_chance():
     vals = []
     for _ in range(300):
         perm = rng.permutation(n)
-        placement = {(i // cols, i % cols): int(perm[i]) for i in range(n)}
-        m = puzzle_metrics(Arrangement(rows=rows, cols=cols, placement=placement), truth)
+        m = puzzle_metrics(Arrangement(perm.reshape(rows, cols)), truth)
         vals.append(m["direct"])
     mean = float(np.mean(vals))
     assert 1 / n * 0.8 < mean < 4 / n, f"direct chance level off: {mean:.4f}"
 
 
 def test_dump_arrangement_format():
-    arr = Arrangement(rows=1, cols=2, placement={(0, 0): 1, (0, 1): 0})
+    arr = Arrangement([[1, 0]])
     text = dump_arrangement(arr, {"direct": 0.5, "neighbor": 0.25})
     assert text.splitlines() == [
         "slot 0 0 -> patch 1",
@@ -254,6 +292,116 @@ def test_dump_arrangement_format():
         "direct=0.500000",
         "neighbor=0.250000",
     ]
+
+
+# ---------------------------------------------------------------- metrics oracle
+#
+# The dict form the arrangement had before it became a slot array, kept as
+# the oracle: placement maps (row, col) -> patch index, missing slots empty.
+
+
+def oracle_metrics(found, truth):
+    """puzzle_metrics over two placement dicts."""
+    t_slot = {i: rc for rc, i in truth.items()}
+    f_slot = {i: rc for rc, i in found.items()}
+    common = [i for i in t_slot if i in f_slot]
+    total = len(t_slot)
+    direct = 0.0
+    if common and total:
+        shifts = {}
+        for i in common:
+            tr, tc = t_slot[i]
+            fr, fc = f_slot[i]
+            d = (tr - fr, tc - fc)
+            shifts[d] = shifts.get(d, 0) + 1
+        direct = max(shifts.values()) / total
+    pairs = 0
+    kept = 0
+    for (r, c), i in truth.items():
+        for rel, s in (("right", (r, c + 1)), ("below", (r + 1, c))):
+            if s not in truth:
+                continue
+            j = truth[s]
+            pairs += 1
+            if i not in f_slot or j not in f_slot:
+                continue
+            fr, fc = f_slot[i]
+            want = (fr, fc + 1) if rel == "right" else (fr + 1, fc)
+            if f_slot[j] == want:
+                kept += 1
+    neighbor = kept / pairs if pairs else 1.0
+    return {"direct": direct, "neighbor": neighbor}
+
+
+def oracle_dump(placement, metrics):
+    lines = [f"slot {r} {c} -> patch {placement[(r, c)]}" for r, c in sorted(placement)]
+    lines.append(f"direct={metrics['direct']:.6f}")
+    lines.append(f"neighbor={metrics['neighbor']:.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_truth(key, cols, kept):
+    return {(key.perm[i] // cols, key.perm[i] % cols): int(i) for i in kept}
+
+
+def as_placement(slots):
+    return {(int(r), int(c)): int(slots[r, c]) for r, c in np.argwhere(slots >= 0)}
+
+
+@st.composite
+def puzzle_pairs(draw):
+    """(found, truth) slot arrays on one grid of up to 6x6, -1 for empty.
+
+    The truth holds distinct patches of 0..n+1 on any subset of slots. The
+    found side is either an independent random placement, or the truth
+    shifted, with a few slots swapped and some patches dropped, so that
+    translations, kept pairs and patches missing on either side all occur.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    n = rows * cols
+    ids = np.array(draw(st.permutations(range(n + 2)))[:n])
+    filled = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    truth = np.where(filled, ids, -1).reshape(rows, cols)
+    if draw(st.booleans()):
+        ids = np.array(draw(st.permutations(range(n + 2)))[:n])
+        filled = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        return np.where(filled, ids, -1).reshape(rows, cols), truth
+    dr, dc = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    found = np.full((rows, cols), -1)
+    src = truth[max(0, -dr):rows - max(0, dr), max(0, -dc):cols - max(0, dc)]
+    found[max(0, dr):max(0, dr) + src.shape[0], max(0, dc):max(0, dc) + src.shape[1]] = src
+    flat = found.reshape(-1)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        flat[a], flat[b] = flat[b], flat[a]
+    for a in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        flat[a] = -1
+    return found, truth
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(puzzle_pairs())
+def test_metrics_and_dump_match_dict_oracle(pair):
+    found, truth = pair
+    got = puzzle_metrics(Arrangement(found), Arrangement(truth))
+    want = oracle_metrics(as_placement(found), as_placement(truth))
+    assert type(got["direct"]) is float and type(got["neighbor"]) is float
+    assert got == want
+    want_text = oracle_dump(as_placement(found), want)
+    assert dump_arrangement(Arrangement(found), got) == want_text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**64 - 1), st.data())
+def test_truth_for_key_matches_dict_oracle(rows, cols, seed, data):
+    n = rows * cols
+    key = gen_key(seed, n)
+    holes = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    patches = np.zeros((n, 2, 2, 1), dtype=np.uint8)
+    got = truth_for_key(key, rows, cols, patches, holes=holes)
+    assert as_placement(got.slots) == oracle_truth(key, cols, np.flatnonzero(~holes))
+    got = truth_for_key(key, rows, cols, patches)
+    assert as_placement(got.slots) == oracle_truth(key, cols, range(n))
 
 
 # ---------------------------------------------------------------- grad leak

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import picrypt.cipher
+import picrypt.harness
 from picrypt.cli import MAX_KEYSPACE_N, run
 from picrypt.errors import ConfigError
 from picrypt.harness import TrainConfig
@@ -202,6 +203,13 @@ def test_attack_jigsaw_writes_file(tmp_path):
     assert dest.read_text().count("slot ") == 4
 
 
+def test_attack_jigsaw_above_solver_bound_is_geometry_error(tmp_path, capsys):
+    # 130x130 at P=2 is 65x65 = 4225 patches: two 136 MiB seam tables
+    write_image(tmp_path / "a.ppm", size=130, seed=2, channels=1)
+    assert run(["attack-jigsaw", "--in", str(tmp_path / "a.ppm"), "--patch", "2"]) == 2
+    assert "4225 patches exceed the solver bound" in capsys.readouterr().err
+
+
 def test_attack_gradleak_output(tmp_path, capsys):
     write_image(tmp_path / "a.ppm", seed=6, size=64)
     assert run(["attack-gradleak", "--in", str(tmp_path / "a.ppm"),
@@ -332,6 +340,31 @@ def test_leakage_line(capsys):
                 "--image-size", "32"]) == 0
     assert capsys.readouterr().out.strip() == "ratio=0.000000"
     assert run(["leakage", "--mode", "bogus", "--images", "10"]) == 1
+
+
+@pytest.mark.parametrize("images", ["0", "-5"])
+def test_leakage_without_images_is_data_error(monkeypatch, capsys, images):
+    measured = []
+    monkeypatch.setattr(picrypt.harness, "white_marker_count",
+                        lambda pixels: measured.append(pixels) or 0)
+    assert run(["leakage", "--mode", "none", "--images", images,
+                "--image-size", "32"]) == 2
+    assert "--images must be >= 1" in capsys.readouterr().err
+    assert measured == []
+
+
+def test_image_side_above_bound_is_config_error(tmp_path, capsys):
+    big = str(picrypt.harness.MAX_IMAGE_SIZE + 1)
+    want = "image_size must be"
+    assert run(["sweep", "--image-size", big, "--images", "1"]) == 2
+    assert want in capsys.readouterr().err
+    assert run(["leakage", "--mode", "none", "--image-size", big, "--images", "1"]) == 2
+    assert want in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TINY_CFG.replace("data.image_size = 32", f"data.image_size = {big}"))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "m.petn")]) == 2
+    assert want in capsys.readouterr().err
+    assert not (tmp_path / "m.petn").exists()
 
 
 def test_sweep_csv_output(tmp_path, capsys):

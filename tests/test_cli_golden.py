@@ -1,4 +1,5 @@
-"""Golden SHA-256 digests of ``picrypt encrypt`` output files and rs key files.
+"""Golden SHA-256 digests of CLI output: ``picrypt encrypt`` output files and
+rs key files, ``attack-jigsaw --key`` stdout and a ``sweep`` CSV.
 
 The digests were taken from the CLI while it still ran its own copy of the
 mode dispatch. They pin the bytes of every output file for every mode, two
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from picrypt.cli import run
+from picrypt.harness import gen_puzzle_corpus
 from picrypt.imgio import Image, save_ppm
 
 MODES = ("none", "rs", "rs+mi", "mi+rs", "mi", "spn:1", "spn:3")
@@ -161,3 +163,60 @@ def test_encrypt_output_bytes_pinned(tmp_path, mode):
     want = {k: v for k, v in GOLDEN.items()
             if k.startswith(f"{mode}/") or (mode == "rs" and k.startswith("key/"))}
     assert got == want
+
+
+# ---------------------------------------------------------------- solver output
+#
+# The stdout of ``picrypt attack-jigsaw --key`` (one line per filled slot,
+# then direct= and neighbor=) and the CSV of a small ``picrypt sweep``, each
+# taken before the puzzle arrangement became a slot array.
+
+JIGSAW_CASES = (
+    # (image side, channels, patch, key seed)
+    (64, 3, 16, 0),
+    (64, 3, 8, 5),
+    (96, 3, 8, 11),
+    (48, 1, 8, 2),
+)
+
+
+def smooth_pixels(size, channels, seed):
+    return gen_puzzle_corpus(1, size, seed=seed)[0][..., :channels].copy()
+
+
+def jigsaw_stdout(tmp_path, capsys, size, channels, patch, seed):
+    plain, enc, key = (tmp_path / n for n in ("plain.ppm", "enc.ppm", "k.key"))
+    save_ppm(Image(pixels=smooth_pixels(size, channels, seed)), plain)
+    assert run(["encrypt", "--mode", "rs", "--in", str(plain), "--out", str(enc),
+                "--patch", str(patch), "--seed", str(seed), "--key", str(key)]) == 0
+    capsys.readouterr()
+    assert run(["attack-jigsaw", "--in", str(enc), "--patch", str(patch),
+                "--key", str(key)]) == 0
+    return capsys.readouterr().out
+
+
+JIGSAW_GOLDEN = {
+    (64, 3, 16, 0): "73a6de014388507d",  # direct 1, neighbor 1
+    (64, 3, 8, 5): "d749ceb05914928a",   # direct 0.640625, neighbor 0.705357
+    (96, 3, 8, 11): "07cac751a42916de",  # direct 0.944444, neighbor 0.928030
+    (48, 1, 8, 2): "eff2a789040f9aee",   # direct 0.166667, neighbor 0.216667
+}
+
+
+@pytest.mark.parametrize("case", JIGSAW_CASES, ids=lambda c: "s{}c{}P{}k{}".format(*c))
+def test_attack_jigsaw_stdout_pinned(tmp_path, capsys, case):
+    out = jigsaw_stdout(tmp_path, capsys, *case)
+    assert "direct=" in out and "neighbor=" in out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == JIGSAW_GOLDEN[case]
+
+
+SWEEP_ARGV = ["sweep", "--patch", "8,16", "--interval", "0,1", "--drop", "0.0,0.25",
+              "--image-size", "48", "--images", "2", "--seed", "3"]
+SWEEP_GOLDEN = "214345dd57624bb2"
+
+
+def test_sweep_csv_pinned(capsys):
+    assert run(SWEEP_ARGV) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 9
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == SWEEP_GOLDEN

@@ -15,6 +15,7 @@ from picrypt.cipher import MODES, gen_key, rs_encrypt
 from picrypt.errors import ConfigError, DataError, KeyMismatchError
 from picrypt.harness import (
     MARKER_SIZE,
+    MAX_IMAGE_SIZE,
     SWEEP_HEADER,
     Adam,
     SweepCell,
@@ -466,7 +467,7 @@ def test_truth_for_key_matches_manual_construction():
     truth = truth_for_key(key, 2, 2, enc.patches)
     # slot of original patch j must hold the encrypted index i with perm[i]=j
     for i, j in enumerate(key.perm):
-        assert truth.placement[(j // 2, j % 2)] == i
+        assert truth.slots[j // 2, j % 2] == i
     # solving with the truth arrangement scores perfectly
     assert puzzle_metrics(truth, truth) == {"direct": 1.0, "neighbor": 1.0}
 
@@ -500,6 +501,18 @@ def test_truth_for_key_rejects_key_of_wrong_size():
 # ---------------------------------------------------------------- sweep
 
 
+def test_image_side_bound():
+    # every side the package and its benchmark use is inside the bound
+    SynthSpec(image_size=MAX_IMAGE_SIZE)
+    assert MAX_IMAGE_SIZE >= 224
+    with pytest.raises(ConfigError, match="image_size"):
+        SynthSpec(image_size=MAX_IMAGE_SIZE + 1)
+    with pytest.raises(ConfigError, match="image_size"):
+        gen_puzzle_corpus(1, MAX_IMAGE_SIZE + 1)
+    with pytest.raises(ConfigError, match="image_size"):
+        sweep([SweepCell(patch_size=16, image_size=MAX_IMAGE_SIZE + 1)], corpus_size=1)
+
+
 def test_sweep_rows_and_csv():
     rows = sweep([SweepCell(patch_size=16, interval=0, image_size=48)],
                  seed=0, corpus_size=2)
@@ -508,6 +521,8 @@ def test_sweep_rows_and_csv():
     csv = sweep_to_csv(rows)
     lines = csv.splitlines()
     assert lines[0] == SWEEP_HEADER
+    # the first four columns are the SweepCell fields, in order
+    assert SWEEP_HEADER.split(",")[:4] == [f.name for f in dataclasses.fields(SweepCell)]
     assert lines[1].startswith("16,0,0,48,")
 
 

@@ -54,11 +54,13 @@ def reference_jigsaw_solve(patches, rows, cols):
     n = len(idx_map)
     if n > rows * cols:
         raise GeometryError(f"{n} patches cannot fit {rows}x{cols} slots")
+    slots = np.full((rows, cols), -1)
     if n == 0:
-        return Arrangement(rows=rows, cols=cols, placement={})
+        return Arrangement(slots)
     stack = np.stack([_norm_patch(patches[i]) for i in idx_map])
     if n == 1:
-        return Arrangement(rows=rows, cols=cols, placement={(0, 0): idx_map[0]})
+        slots[0, 0] = idx_map[0]
+        return Arrangement(slots)
 
     d_right, d_below = broadcast_tables(stack)
 
@@ -130,10 +132,9 @@ def reference_jigsaw_solve(patches, rows, cols):
 
     lo_r = min(r for r, _ in placed)
     lo_c = min(c for _, c in placed)
-    placement = {
-        (r - lo_r, c - lo_c): idx_map[i] for (r, c), i in placed.items()
-    }
-    return Arrangement(rows=rows, cols=cols, placement=placement)
+    for (r, c), i in placed.items():
+        slots[r - lo_r, c - lo_c] = idx_map[i]
+    return Arrangement(slots)
 
 
 def assert_same_solve(patches, rows, cols):
