@@ -273,35 +273,22 @@ def dump_arrangement(arr: Arrangement, metrics: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grad_leak_invert(grad_e: np.ndarray, iters: int = 100, tol: float = 1e-10):
+def grad_leak_invert(grad_e: np.ndarray):
     """Dominant left singular direction of an embedding-weight gradient.
 
     For a loss over exactly one patch token through a linear embedding E,
     dL/dE = x g^T is rank one and the returned unit vector equals x/|x|.
-    Power iteration on G G^T from a ones start; sign fixed so the
-    largest-magnitude entry is positive. Returns None for a zero gradient.
+    Computed by SVD, sign fixed so the largest-magnitude entry is positive.
+    Returns None for a zero gradient.
     """
     g = np.asarray(grad_e, dtype=np.float64)
     if g.ndim != 2:
         raise ShapeError(f"expected a 2-D gradient matrix, got {g.shape}")
     if not np.any(g):
         return None
-    m = g @ g.T
-    v = np.ones(m.shape[0]) / np.sqrt(m.shape[0])
-    for _ in range(iters):
-        w = m @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return None
-        w /= norm
-        if np.linalg.norm(w - v) < tol:
-            v = w
-            break
-        v = w
+    v = np.linalg.svd(g, full_matrices=False)[0][:, 0]
     peak = int(np.argmax(np.abs(v)))
-    if v[peak] < 0:
-        v = -v
-    return v
+    return -v if v[peak] < 0 else v
 
 
 def mi_collision(mixed: np.ndarray, seed: int, amplitude: float = 0.25):

@@ -9,9 +9,10 @@ single array; quantize_mixed tiles the mean back into all four quadrants,
 so the exported grid still renders at the original image size.
 
 An encryption setting names one pipeline: ``none``, ``rs``, ``mi``,
-``rs+mi`` (shuffle, then mix), ``mi+rs`` (mix, then shuffle) or
-``spn:<rounds>``. parse_mode is the only parser of these strings and
-encrypt the only place that runs them.
+``rs+mi`` or ``spn:<rounds>``; since mixing keeps patches in place,
+``mi+rs`` is a second name for ``rs+mi`` and runs as shuffle-then-mix.
+parse_mode is the only parser of these strings, encrypt the only place
+that runs them, and token_dim and token_rows say what they give a model.
 """
 
 from __future__ import annotations
@@ -96,27 +97,22 @@ def gen_key(seed: int, n: int) -> PermutationKey:
     return PermutationKey(n=n, perm=tuple(perm), seed=seed)
 
 
-def _permute(grid, key: PermutationKey, order: np.ndarray):
-    """``grid`` (a PatchGrid or a MixedGrid) with output position i holding
-    input patch order[i]; holes move with their patches."""
+def _permute(grid: PatchGrid, key: PermutationKey, order: np.ndarray) -> PatchGrid:
+    """``grid`` with output position i holding input patch order[i]; holes
+    move with their patches."""
     if key.n != grid.n_patches:
         raise KeyMismatchError(
             f"key is for {key.n} patches, grid has {grid.n_patches}"
         )
-    if isinstance(grid, MixedGrid):
-        return dataclasses.replace(grid, patches=grid.patches[order])
     return dataclasses.replace(grid, patches=grid.patches[order], holes=grid.holes[order])
 
 
-def rs_encrypt(grid, key: PermutationKey):
-    """Shuffle patches: output position i receives input patch perm[i].
-
-    Works on a PatchGrid and on a MixedGrid alike.
-    """
+def rs_encrypt(grid: PatchGrid, key: PermutationKey) -> PatchGrid:
+    """Shuffle patches: output position i receives input patch perm[i]."""
     return _permute(grid, key, np.asarray(key.perm))
 
 
-def rs_decrypt(grid, key: PermutationKey):
+def rs_decrypt(grid: PatchGrid, key: PermutationKey) -> PatchGrid:
     """Exact inverse of rs_encrypt for the same key."""
     return _permute(grid, key, key.inverse())
 
@@ -195,13 +191,15 @@ def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
     )
 
 
-def quantize_mixed(grid: MixedGrid) -> PatchGrid:
+def quantize_mixed(grid) -> PatchGrid:
     """Export a mixed grid as 8-bit patches (round half to even), each mean
-    tiled 2x2 back to full patch size.
+    tiled 2x2 back to full patch size; a PatchGrid is returned unchanged.
 
     Only for producing a viewable image; all model-facing paths keep the
     real values.
     """
+    if isinstance(grid, PatchGrid):
+        return grid
     means = np.rint(np.clip(grid.patches, 0.0, 1.0) * 255.0).astype(np.uint8)
     return PatchGrid(
         rows=grid.rows,
@@ -250,12 +248,25 @@ def encrypt(grid: PatchGrid, setting: str, draw_seed):
         return mi_encrypt(grid)
     if kind == "spn":
         return spn_encrypt(grid, rounds, draw_seed())
-    key = gen_key(draw_seed(), grid.n_patches)
-    if kind == "rs":
-        return rs_encrypt(grid, key)
-    if kind == "rs+mi":
-        return mi_encrypt(rs_encrypt(grid, key))
-    return rs_encrypt(mi_encrypt(grid), key)
+    shuffled = rs_encrypt(grid, gen_key(draw_seed(), grid.n_patches))
+    return shuffled if kind == "rs" else mi_encrypt(shuffled)
+
+
+def token_dim(setting: str, patch_size: int, channels: int) -> int:
+    """Width of one model row for ``setting``: a whole patch for none and
+    rs, one quadrant mean for every setting that mixes."""
+    kind, _ = parse_mode(setting)
+    side = patch_size if kind in ("none", "rs") else patch_size // 2
+    return side * side * channels
+
+
+def token_rows(grid) -> np.ndarray:
+    """Model rows of an encrypted grid, values in [0, 1]: each kept patch
+    of a PatchGrid scaled by 1/255, or each quadrant mean of a MixedGrid."""
+    if isinstance(grid, MixedGrid):
+        return grid.patches.reshape(grid.n_patches, -1)
+    kept = grid.patches[~grid.holes]
+    return kept.reshape(len(kept), -1).astype(np.float64) / 255.0
 
 
 def keyspace(n: int) -> int:

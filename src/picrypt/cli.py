@@ -123,9 +123,7 @@ def _cmd_encrypt(args) -> int:
         raise _UsageError("--key is only meaningful with --mode rs")
     grid = imgio.split_patches(imgio.load_ppm(args.infile), args.patch, 0)
     # --seed is the key seed itself, not the seed of a key stream
-    out = cipher.encrypt(grid, args.mode, lambda: args.seed)
-    if isinstance(out, cipher.MixedGrid):
-        out = cipher.quantize_mixed(out)
+    out = cipher.quantize_mixed(cipher.encrypt(grid, args.mode, lambda: args.seed))
     if args.key:
         cipher.save_key(cipher.gen_key(args.seed, grid.n_patches), args.key)
     imgio.save_ppm(imgio.assemble(out), args.out)

@@ -17,13 +17,13 @@ import numpy as np
 from . import pevit
 from .attacks import Arrangement, jigsaw_solve, puzzle_metrics
 from .cipher import (
-    MixedGrid,
     drop_patches,
     encrypt,
     gen_key,
-    parse_mode,
     quantize_mixed,
     rs_encrypt,
+    token_dim,
+    token_rows,
 )
 from .errors import ConfigError, DataError, KeyMismatchError
 from .imgio import Image, assemble, split_patches
@@ -44,6 +44,10 @@ MARKER_SIZE = 8
 # largest image side that SynthSpec and gen_puzzle_corpus accept: each
 # generated image allocates a few (side, side, 3) float64 or int64 arrays
 MAX_IMAGE_SIZE = 1024
+
+# largest generated corpus, in uint8 bytes (images * side^2 * 3), that
+# SynthSpec and gen_puzzle_corpus accept; SynthSpec's defaults are 74 MB
+MAX_CORPUS_BYTES = 1 << 28
 
 # gen_puzzle_corpus: coarse-field control-point spacing (pixels), and the
 # amplitudes of the pixel noise, the intensity bowl and the coarse field
@@ -67,6 +71,14 @@ class SynthSpec:
             raise ConfigError(f"classes must be in 1..{len(PALETTE)}")
         if not 16 <= self.image_size <= MAX_IMAGE_SIZE:
             raise ConfigError(f"image_size must be in 16..{MAX_IMAGE_SIZE}")
+        _check_corpus(self.classes * (self.train_per_class + self.test_per_class),
+                      self.image_size)
+
+
+def _check_corpus(images: int, side: int) -> None:
+    if images * side * side * 3 > MAX_CORPUS_BYTES:
+        raise ConfigError(f"{images} images of side {side} exceed "
+                          f"MAX_CORPUS_BYTES = {MAX_CORPUS_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -168,6 +180,7 @@ def gen_puzzle_corpus(n: int, image_size: int, seed: int = 0) -> list:
     """
     if image_size > MAX_IMAGE_SIZE:
         raise ConfigError(f"image_size must be at most {MAX_IMAGE_SIZE}")
+    _check_corpus(n, image_size)
     rng = np.random.default_rng(seed)
     coarse = max(2, image_size // PUZZLE_CELL)
     yy, xx = np.mgrid[0:image_size, 0:image_size].astype(np.float64)
@@ -207,19 +220,12 @@ class TrainConfig:
             raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
         if self.interval < 0:
             raise ConfigError(f"interval must be >= 0, got {self.interval}")
-        kind, _ = parse_mode(self.encryption)
-        if self.drop_ratio > 0.0 and kind not in ("none", "rs"):
+        # a 2x2 one-channel patch gives 4 values unless the setting mixes
+        mixes = token_dim(self.encryption, 2, 1) != 4
+        if self.drop_ratio > 0.0 and mixes:
             raise ConfigError("drop_ratio is only supported for none/rs settings")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-
-
-def expected_patch_dim(patch_size: int, channels: int, encryption: str) -> int:
-    """Width of one model token for the given encryption setting."""
-    kind, _ = parse_mode(encryption)
-    if kind in ("none", "rs"):
-        return patch_size * patch_size * channels
-    return (patch_size // 2) ** 2 * channels
 
 
 def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.ndarray:
@@ -231,11 +237,7 @@ def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.n
     grid = split_patches(Image(pixels=pixels), cfg.patch_size, cfg.interval)
     if cfg.drop_ratio > 0.0:
         grid = drop_patches(grid, cfg.drop_ratio, rng.next_u64())
-    grid = encrypt(grid, cfg.encryption, rng.next_u64)
-    if isinstance(grid, MixedGrid):
-        return grid.patches.reshape(grid.n_patches, -1)
-    kept = grid.patches[~grid.holes]
-    return kept.reshape(len(kept), -1).astype(np.float64) / 255.0
+    return token_rows(encrypt(grid, cfg.encryption, rng.next_u64))
 
 
 # elements per block of Adam.step: six 512 KiB slices stay in cache
@@ -305,7 +307,7 @@ def _check_geometry(cfg: TrainConfig, images: np.ndarray) -> None:
         raise ConfigError(
             f"image size {size} not divisible by patch size {cfg.patch_size}"
         )
-    want = expected_patch_dim(cfg.patch_size, channels, cfg.encryption)
+    want = token_dim(cfg.encryption, cfg.patch_size, channels)
     if cfg.model.patch_dim != want:
         raise ConfigError(
             f"model patch_dim {cfg.model.patch_dim} does not match "
@@ -409,17 +411,16 @@ def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0) -> dict:
 
     The image is RS-encrypted, one patch token is pushed through the full
     classifier, and the embedding-weight gradient (rank one: the token
-    times the upstream gradient) is inverted by power iteration. The
-    recovered direction matches the *encrypted* patch at that slot, not
-    the plaintext one — the attack sees through the model, not the cipher.
+    times the upstream gradient) is inverted by SVD. The recovered
+    direction matches the *encrypted* patch at that slot, not the
+    plaintext one — the attack sees through the model, not the cipher.
     """
     from .attacks import grad_leak_invert
 
     grid = split_patches(Image(pixels=pixels), patch_size, 0)
     key = gen_key(seed, grid.n_patches)
     enc = rs_encrypt(grid, key)
-    x_cipher = enc.patches[0].reshape(-1).astype(np.float64) / 255.0
-    x_plain = grid.patches[0].reshape(-1).astype(np.float64) / 255.0
+    x_cipher, x_plain = token_rows(enc)[0], token_rows(grid)[0]
     model_cfg = ModelConfig(patch_dim=x_cipher.size, dim=32, depth=2,
                             heads=2, ffn_dim=64, n_classes=10)
     params = pevit.init_params(model_cfg, seed=seed)
@@ -463,9 +464,7 @@ def encrypt_pixels(pixels: np.ndarray, encryption: str, patch_size: int,
     mixed grids are exported through quantize_mixed."""
     grid = encrypt(split_patches(Image(pixels=pixels), patch_size, 0),
                    encryption, rng.next_u64)
-    if isinstance(grid, MixedGrid):
-        grid = quantize_mixed(grid)
-    return assemble(grid).pixels
+    return assemble(quantize_mixed(grid)).pixels
 
 
 def leakage_ratio(corpus, encryption: str, patch_size: int = 16,
@@ -571,7 +570,7 @@ def sweep(cells, seed: int = 0, corpus_size: int = 20,
         if train_spec is not None and train_base is not None:
             spec = dataclasses.replace(train_spec, image_size=cell.image_size)
             data = gen_dataset(spec)
-            pdim = expected_patch_dim(cell.patch_size, 3, train_base.encryption)
+            pdim = token_dim(train_base.encryption, cell.patch_size, 3)
             cfg = dataclasses.replace(
                 train_base,
                 patch_size=cell.patch_size,
@@ -657,7 +656,7 @@ def config_specs(d: dict) -> tuple:
     spec = SynthSpec(**kwargs[SynthSpec])
     train_kw = kwargs[TrainConfig]
     model = ModelConfig(
-        patch_dim=expected_patch_dim(train_kw["patch_size"], 3, train_kw["encryption"]),
+        patch_dim=token_dim(train_kw["encryption"], train_kw["patch_size"], 3),
         n_classes=spec.classes,
         **kwargs[ModelConfig],
     )

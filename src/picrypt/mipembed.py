@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cipher import MixedGrid
+from .cipher import MixedGrid, token_dim, token_rows
 from .errors import ConfigError, ShapeError
 from .pevit import block_stack
 from .tensor import Tensor, add, concat_rows, gelu, matmul
@@ -40,7 +40,7 @@ class DetConfig:
 
     @property
     def sub_dim(self) -> int:
-        return (self.patch_size // 2) ** 2 * self.channels
+        return token_dim("mi", self.patch_size, self.channels)
 
 
 def init_det_params(cfg: DetConfig, n_patches: int, seed: int = 0) -> dict:
@@ -75,11 +75,6 @@ def mi_patch_embed(params: dict, x: np.ndarray) -> Tensor:
     return add(matmul(h, params["mi.w2"]), params["mi.b2"])
 
 
-def grid_vectors(grid: MixedGrid) -> np.ndarray:
-    """Flatten each mixed patch's quadrant mean into an (N, sub_dim) matrix."""
-    return grid.patches.reshape(grid.n_patches, -1)
-
-
 def build_det_sequence(params: dict, cfg: DetConfig, grid: MixedGrid) -> Tensor:
     """z0 = [det tokens; embedded mixed patches] + positional rows."""
     if grid.patch_size != cfg.patch_size or grid.channels != cfg.channels:
@@ -93,7 +88,7 @@ def build_det_sequence(params: dict, cfg: DetConfig, grid: MixedGrid) -> Tensor:
         raise ShapeError(
             f"pos has {params['pos'].data.shape[0]} rows, need {want}"
         )
-    emb = mi_patch_embed(params, grid_vectors(grid))
+    emb = mi_patch_embed(params, token_rows(grid))
     return add(concat_rows([params["det"], emb]), params["pos"])
 
 

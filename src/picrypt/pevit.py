@@ -3,9 +3,9 @@
 Without absolute position information every encoder block is equivariant
 to the order of the patch tokens, and the class-token readout is therefore
 invariant: shuffling the input rows cannot change the logits. An optional
-reference-based positional module (rpe) can be switched on to break that
-invariance deliberately; it computes features from (patch - reference) in
-pixel space and adds them to the embeddings.
+reference-based module (rpe) adds features computed per token from
+(patch - reference) in pixel space to the embeddings; they depend on each
+patch's content, not its position, so the invariance holds with rpe on.
 
 Parameter dicts map dotted names to Tensors; see init_params for the
 naming scheme. All shapes are 2-D rows-of-features.

@@ -26,17 +26,21 @@ _GELU_C1 = 0.044715
 
 LAYER_NORM_EPS = 1e-5
 
+# grad_check's central-difference step and relative-error denominator floor
+GRAD_CHECK_STEP = 1e-5
+GRAD_CHECK_FLOOR = 1e-6
+
 
 class Tensor:
     """Node in the autodiff graph: float64 values plus an optional gradient."""
 
     __slots__ = ("data", "grad", "_parents", "_pullback", "_id")
 
-    def __init__(self, data, parents=(), pullback=None):
+    def __init__(self, data, parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._pullback = pullback
+        self._pullback = None
         self._id = next(_ids)
 
     @property
@@ -299,18 +303,15 @@ class GradCheckReport:
         return self.max_rel_error < self.tolerance
 
 
-def grad_check(f, params, step: float = 1e-5, tolerance: float = 1e-4,
-               max_entries: int | None = None, seed: int = 0,
-               denom_floor: float = 1e-6) -> GradCheckReport:
+def grad_check(f, params, tolerance: float = 1e-4,
+               max_entries: int | None = None, seed: int = 0) -> GradCheckReport:
     """Compare analytic gradients of ``f(params)`` to central differences.
 
     f must return a scalar Tensor. Checks every parameter entry, or a
     seeded sample of ``max_entries`` of them. Relative error uses
-    max(|analytic|, |numeric|, denom_floor) as denominator so near-zero
-    gradients are compared absolutely.
+    max(|analytic|, |numeric|, GRAD_CHECK_FLOOR) as denominator so
+    near-zero gradients are compared absolutely.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
     zero_grads(params)
     loss = f(params)
     backward(loss)
@@ -333,14 +334,14 @@ def grad_check(f, params, step: float = 1e-5, tolerance: float = 1e-4,
     for name, idx in entries:
         flat = params[name].data.reshape(-1)
         orig = flat[idx]
-        flat[idx] = orig + step
+        flat[idx] = orig + GRAD_CHECK_STEP
         fp = f(params).data.item()
-        flat[idx] = orig - step
+        flat[idx] = orig - GRAD_CHECK_STEP
         fm = f(params).data.item()
         flat[idx] = orig
-        numeric = (fp - fm) / (2.0 * step)
+        numeric = (fp - fm) / (2.0 * GRAD_CHECK_STEP)
         a = analytic[name].reshape(-1)[idx]
-        rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+        rel = abs(a - numeric) / max(abs(a), abs(numeric), GRAD_CHECK_FLOOR)
         if rel > worst[0]:
             worst = (rel, name, idx)
 

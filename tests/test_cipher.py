@@ -12,6 +12,7 @@ from picrypt.cipher import (
     MixedGrid,
     PermutationKey,
     drop_patches,
+    encrypt,
     gen_key,
     keyspace,
     load_key,
@@ -200,15 +201,22 @@ def test_mi_rejects_holes():
 
 
 def test_mi_commutes_with_rs():
-    # mi(rs(g,k)) == rs(mi(g),k) bit-exactly, same permutation
+    # rs+mi and mi+rs name one cipher: both give, bit for bit, the patches
+    # gathered by the key, then each one's quadrant mean
     rng = np.random.default_rng(9)
-    for seed in range(5):
-        g = rand_grid(rng, rows=3, cols=3)
-        k = gen_key(seed, 9)
-        a = mi_encrypt(rs_encrypt(g, k))
-        b = rs_encrypt(mi_encrypt(g), k)
-        for pa, pb in zip(a.patches, b.patches):
-            assert np.array_equal(pa, pb)
+    for _ in range(8):
+        rows, cols = (int(v) for v in rng.integers(1, 5, size=2))
+        ps, c = int(rng.choice([2, 4, 8])), int(rng.choice([1, 3]))
+        g = rand_grid(rng, rows=rows, cols=cols, ps=ps, c=c)
+        seed = int(rng.integers(1 << 63))
+        shuffled = g.patches[np.asarray(gen_key(seed, rows * cols).perm)]
+        h = ps // 2
+        q = shuffled.astype(np.float64) / 255.0
+        want = 0.25 * (q[:, :h, :h] + q[:, :h, h:] + q[:, h:, :h] + q[:, h:, h:])
+        for setting in ("rs+mi", "mi+rs"):
+            got = encrypt(g, setting, lambda: seed)
+            assert (got.rows, got.cols) == (rows, cols)
+            assert got.patches.tobytes() == want.tobytes(), setting
 
 
 def test_mixed_patch_tiles_its_quadrant():

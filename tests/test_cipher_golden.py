@@ -12,10 +12,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from picrypt.cipher import gen_key, mi_encrypt, save_key, spn_encrypt
+from picrypt.cipher import gen_key, mi_encrypt, save_key, spn_encrypt, token_rows
 from picrypt.harness import TrainConfig, encrypt_pixels, image_vectors
 from picrypt.imgio import Image, split_patches
-from picrypt.mipembed import grid_vectors
 from picrypt.pevit import ModelConfig
 from picrypt.rng import SplitMix64
 
@@ -81,8 +80,8 @@ def grid_vector_digests():
     out = {}
     for h, w, c, p in GEOMETRIES:
         grid = split_patches(Image(pixels=pixels(h, w, c, salt=3 * c + p)), p, 0)
-        out[f"{h}x{w}x{c}/P{p}/mi"] = digest(grid_vectors(mi_encrypt(grid)))
-        out[f"{h}x{w}x{c}/P{p}/spn:3"] = digest(grid_vectors(spn_encrypt(grid, 3, 41)))
+        out[f"{h}x{w}x{c}/P{p}/mi"] = digest(token_rows(mi_encrypt(grid)))
+        out[f"{h}x{w}x{c}/P{p}/spn:3"] = digest(token_rows(spn_encrypt(grid, 3, 41)))
     return out
 
 

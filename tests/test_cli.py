@@ -367,6 +367,27 @@ def test_image_side_above_bound_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "m.petn").exists()
 
 
+def test_corpus_above_bound_is_config_error(monkeypatch, tmp_path, capsys):
+    # every CLI route to a generated corpus checks its size before drawing
+    def drew(*args):
+        raise AssertionError("an image was drawn")
+
+    monkeypatch.setattr(picrypt.harness, "_render_sample", drew)
+    monkeypatch.setattr(picrypt.harness, "_bilinear_upsample", drew)
+    want = "MAX_CORPUS_BYTES"
+    assert run(["leakage", "--mode", "none", "--images", "100000000",
+                "--image-size", "256"]) == 2
+    assert want in capsys.readouterr().err
+    assert run(["sweep", "--images", "100000000"]) == 2
+    assert want in capsys.readouterr().err
+    for key in ("train_per_class", "test_per_class"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(TINY_CFG.replace(f"data.{key} = 2", f"data.{key} = 1000000000"))
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "m.petn")]) == 2
+        assert want in capsys.readouterr().err
+    assert not (tmp_path / "m.petn").exists()
+
+
 def test_sweep_csv_output(tmp_path, capsys):
     dest = tmp_path / "sweep.csv"
     assert run(["sweep", "--patch", "16", "--interval", "0,2",

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import picrypt.harness
 import picrypt.pevit as pevit
 from picrypt.attacks import puzzle_metrics
-from picrypt.cipher import MODES, gen_key, rs_encrypt
+from picrypt.cipher import MODES, gen_key, rs_encrypt, token_dim
 from picrypt.errors import ConfigError, DataError, KeyMismatchError
 from picrypt.harness import (
     MARKER_SIZE,
+    MAX_CORPUS_BYTES,
     MAX_IMAGE_SIZE,
     SWEEP_HEADER,
     Adam,
@@ -25,7 +27,6 @@ from picrypt.harness import (
     baseline_init,
     config_specs,
     evaluate,
-    expected_patch_dim,
     gen_dataset,
     gen_puzzle_corpus,
     gradleak_demo,
@@ -158,12 +159,13 @@ def test_train_config_bounds():
             tiny_cfg(**bad)
 
 
-def test_expected_patch_dim():
-    assert expected_patch_dim(16, 3, "none") == 768
-    assert expected_patch_dim(16, 3, "rs") == 768
-    assert expected_patch_dim(16, 3, "mi") == 192
-    assert expected_patch_dim(16, 3, "rs+mi") == 192
-    assert expected_patch_dim(16, 3, "spn:2") == 192
+def test_token_dim():
+    assert token_dim("none", 16, 3) == 768
+    assert token_dim("rs", 16, 3) == 768
+    assert token_dim("mi", 16, 3) == 192
+    assert token_dim("rs+mi", 16, 3) == 192
+    assert token_dim("mi+rs", 16, 3) == 192
+    assert token_dim("spn:2", 16, 3) == 192
 
 
 # ---------------------------------------------------------------- vectors
@@ -503,7 +505,7 @@ def test_truth_for_key_rejects_key_of_wrong_size():
 
 def test_image_side_bound():
     # every side the package and its benchmark use is inside the bound
-    SynthSpec(image_size=MAX_IMAGE_SIZE)
+    SynthSpec(image_size=MAX_IMAGE_SIZE, classes=1, train_per_class=1, test_per_class=1)
     assert MAX_IMAGE_SIZE >= 224
     with pytest.raises(ConfigError, match="image_size"):
         SynthSpec(image_size=MAX_IMAGE_SIZE + 1)
@@ -511,6 +513,33 @@ def test_image_side_bound():
         gen_puzzle_corpus(1, MAX_IMAGE_SIZE + 1)
     with pytest.raises(ConfigError, match="image_size"):
         sweep([SweepCell(patch_size=16, image_size=MAX_IMAGE_SIZE + 1)], corpus_size=1)
+
+
+def no_drawing(monkeypatch):
+    def drew(*args):
+        raise AssertionError("an image was drawn")
+
+    monkeypatch.setattr(picrypt.harness, "_render_sample", drew)
+    monkeypatch.setattr(picrypt.harness, "_bilinear_upsample", drew)
+
+
+def test_synth_spec_corpus_bound():
+    # the bound admits the defaults and the largest corpus that fits
+    SynthSpec()
+    fits = MAX_CORPUS_BYTES // (64 * 64 * 3)
+    SynthSpec(image_size=64, classes=1, train_per_class=fits, test_per_class=0)
+    with pytest.raises(ConfigError, match="MAX_CORPUS_BYTES"):
+        SynthSpec(image_size=64, classes=1, train_per_class=fits - 2, test_per_class=3)
+    with pytest.raises(ConfigError, match="MAX_CORPUS_BYTES"):
+        SynthSpec(train_per_class=10**9)
+
+
+def test_puzzle_corpus_bound_before_any_image(monkeypatch):
+    no_drawing(monkeypatch)
+    with pytest.raises(ConfigError, match="MAX_CORPUS_BYTES"):
+        gen_puzzle_corpus(MAX_CORPUS_BYTES // (64 * 64 * 3) + 1, 64)
+    with pytest.raises(ConfigError, match="MAX_CORPUS_BYTES"):
+        sweep([SweepCell(patch_size=16, image_size=224)], corpus_size=10**8)
 
 
 def test_sweep_rows_and_csv():
@@ -603,8 +632,7 @@ def test_config_specs_empty_is_dataclass_defaults():
     assert spec == SynthSpec()
     train_defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)
                       if f.name != "model"}
-    pdim = expected_patch_dim(train_defaults["patch_size"], 3,
-                              train_defaults["encryption"])
+    pdim = token_dim(train_defaults["encryption"], train_defaults["patch_size"], 3)
     model = ModelConfig(patch_dim=pdim, n_classes=spec.classes)
     assert cfg == TrainConfig(model=model, **train_defaults)
 

@@ -5,14 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
-from picrypt.cipher import gen_key, mi_encrypt, rs_encrypt
+from picrypt.cipher import gen_key, mi_encrypt, rs_encrypt, token_rows
 from picrypt.errors import ConfigError, ShapeError
 from picrypt.imgio import Image, split_patches
 from picrypt.mipembed import (
     DetConfig,
     build_det_sequence,
     encode_det_sequence,
-    grid_vectors,
     init_det_params,
     mi_patch_embed,
 )
@@ -90,7 +89,7 @@ def test_embed_mixed_equals_average_of_subembeds():
 def test_grid_vectors_shape_and_range():
     rng = np.random.default_rng(4)
     grid = rand_mixed(rng)
-    v = grid_vectors(grid)
+    v = token_rows(grid)
     assert v.shape == (4, CFG.sub_dim)
     assert v.min() >= 0.0 and v.max() <= 1.0
 
@@ -101,7 +100,7 @@ def test_sequence_layout_and_pos_addition():
     grid = rand_mixed(rng)
     z = build_det_sequence(p, CFG, grid).data
     assert z.shape == (9, 16)
-    emb = mi_patch_embed(p, grid_vectors(grid)).data
+    emb = mi_patch_embed(p, token_rows(grid)).data
     want = np.vstack([p["det"].data, emb]) + p["pos"].data
     assert np.max(np.abs(z - want)) < 1e-15
 

@@ -327,11 +327,6 @@ def test_grad_check_sampling_is_deterministic():
     assert a.max_rel_error == b.max_rel_error and a.param == b.param
 
 
-def test_grad_check_rejects_bad_step():
-    with pytest.raises(ValueError):
-        grad_check(lambda p: p["x"], {"x": t([0.0])}, step=0.0)
-
-
 # ---------------------------------------------------------------- checkpoint
 
 
