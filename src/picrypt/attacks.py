@@ -299,12 +299,10 @@ def mi_collision(mixed: np.ndarray, seed: int, amplitude: float = 0.25):
     values may leave [0, 1] — the point is algebraic non-uniqueness.
     """
     m = np.asarray(mixed, dtype=np.float64)
-    rng = SplitMix64(seed)
-    deltas = []
-    for _ in range(3):
-        d = np.empty(m.size)
-        for k in range(m.size):
-            d[k] = (rng.next_unit() * 2.0 - 1.0) * amplitude
-        deltas.append(d.reshape(m.shape))
+    # 3 * m.size units off one stream, each the bits of next_unit: a word's
+    # top 53 bits are exact in float64
+    words = SplitMix64(seed).next_u64_block(3 * m.size)
+    units = (words >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    deltas = list(((units * 2.0 - 1.0) * amplitude).reshape(3, *m.shape))
     deltas.append(-(deltas[0] + deltas[1] + deltas[2]))
     return tuple(m + d for d in deltas)

@@ -85,14 +85,15 @@ def gen_key(seed: int, n: int) -> PermutationKey:
     """Derive an n-element permutation from ``seed`` by Fisher-Yates.
 
     Walks i = n-1 down to 1, drawing j uniformly from [0, i] off one
-    SplitMix64 stream, so a (seed, n) pair always yields the same key.
+    SplitMix64 stream, so a (seed, n) pair always yields the same key. The
+    n-1 draws come as one block (bounds n, n-1, ..., 2); only the swaps
+    run one at a time.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = SplitMix64(seed)
+    draws = SplitMix64(seed).next_below_block(np.arange(n, 1, -1)).tolist()
     perm = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.next_below(i + 1)
+    for i, j in zip(range(n - 1, 0, -1), draws):
         perm[i], perm[j] = perm[j], perm[i]
     return PermutationKey(n=n, perm=tuple(perm), seed=seed)
 
@@ -282,7 +283,8 @@ def drop_patches(grid: PatchGrid, ratio: float, seed: int) -> PatchGrid:
     Hole positions come from a partial Fisher-Yates draw on a SplitMix64
     stream seeded with ``seed``: position k swaps index k with a uniform
     pick from [k, n), and the first floor(ratio * n) indices become holes.
-    A hole's pixels are zeroed, so no dropped byte stays in the grid.
+    The k draws come as one block (bounds n, n-1, ..., n-k+1). A hole's
+    pixels are zeroed, so no dropped byte stays in the grid.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"ratio must be in [0, 1), got {ratio}")
@@ -290,10 +292,10 @@ def drop_patches(grid: PatchGrid, ratio: float, seed: int) -> PatchGrid:
     k = int(ratio * n)
     if k == 0:
         return grid
-    rng = SplitMix64(seed)
+    draws = SplitMix64(seed).next_below_block(np.arange(n, n - k, -1)).tolist()
     idx = list(range(n))
-    for i in range(k):
-        j = i + rng.next_below(n - i)
+    for i, d in enumerate(draws):
+        j = i + d
         idx[i], idx[j] = idx[j], idx[i]
     holes = grid.holes.copy()
     holes[idx[:k]] = True
@@ -335,6 +337,8 @@ def load_key(path) -> PermutationKey:
     # before gen_key, whose cost is set by the file's own n
     if len(perm) != n:
         raise KeyMismatchError(f"perm has {len(perm)} entries, n={n}")
+    if not 0 <= seed < 1 << 64:
+        raise KeyMismatchError(f"seed must be an unsigned 64-bit integer, got {seed}")
     expected = gen_key(seed, n)
     if perm != expected.perm:
         raise KeyMismatchError("perm does not match the stated (seed, n)")

@@ -126,26 +126,22 @@ def _render_sample(rng, spec: SynthSpec, cls: int) -> np.ndarray:
 def gen_dataset(spec: SynthSpec) -> Dataset:
     """Balanced labeled train/test images, deterministic per seed."""
     rng = np.random.default_rng(spec.seed)
-    train_x, train_y, test_x, test_y = [], [], [], []
+    n_train, n_test = spec.train_per_class, spec.test_per_class
+    shape = (spec.image_size, spec.image_size, 3)
+    # each image is written into its slot, so the corpus is held once
+    train_x = np.empty((spec.classes * n_train, *shape), dtype=np.uint8)
+    test_x = np.empty((spec.classes * n_test, *shape), dtype=np.uint8)
     for cls in range(spec.classes):
-        for i in range(spec.train_per_class + spec.test_per_class):
-            img = _render_sample(rng, spec, cls)
-            if i < spec.train_per_class:
-                train_x.append(img)
-                train_y.append(cls)
-            else:
-                test_x.append(img)
-                test_y.append(cls)
-    def stack(lst):
-        if lst:
-            return np.stack(lst)
-        return np.zeros((0, spec.image_size, spec.image_size, 3), dtype=np.uint8)
-
+        for i in range(n_train):
+            train_x[cls * n_train + i] = _render_sample(rng, spec, cls)
+        for i in range(n_test):
+            test_x[cls * n_test + i] = _render_sample(rng, spec, cls)
+    labels = np.arange(spec.classes, dtype=np.int64)
     return Dataset(
-        train_x=stack(train_x),
-        train_y=np.asarray(train_y, dtype=np.int64),
-        test_x=stack(test_x),
-        test_y=np.asarray(test_y, dtype=np.int64),
+        train_x=train_x,
+        train_y=np.repeat(labels, n_train),
+        test_x=test_x,
+        test_y=np.repeat(labels, n_test),
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the jigsaw solver, gradient-leakage inversion, and MI collisions."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from picrypt.cipher import gen_key
 from picrypt.errors import GeometryError, ShapeError
 from picrypt.harness import truth_for_key
 from picrypt.imgio import Image, split_patches
+from picrypt.rng import SplitMix64
 
 
 def identity_arrangement(rows, cols, indices=None):
@@ -495,3 +497,25 @@ def test_collision_respects_amplitude_bound():
     for s in subs[:3]:
         assert np.max(np.abs(s - mixed)) <= 0.1 + 1e-15
     assert np.max(np.abs(subs[3] - mixed)) <= 0.3 + 1e-15
+
+
+@pytest.mark.parametrize("seed,digest", [
+    (5, "1133095dd9e7a5fe3ef4d71d6b9e0072cf351f21d016f21ca0d850838f20f958"),
+    (2**64 - 1, "e9aeb5f0cd535f60127184887bfcec44b3210e63f3a763686c86d9cbdb3c42ee"),
+])
+def test_collision_bytes_pinned(seed, digest):
+    # taken from the per-element next_unit loop the block draw replaced
+    mixed = np.linspace(0.0, 1.0, 2 * 4 * 4 * 3).reshape(2, 4, 4, 3)
+    h = hashlib.sha256()
+    for sub in mi_collision(mixed, seed=seed):
+        h.update(sub.tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_collision_deltas_are_successive_units():
+    mixed = np.full((3, 2, 1), 0.5)
+    rng = SplitMix64(77)
+    units = np.array([rng.next_unit() for _ in range(18)]).reshape(3, 3, 2, 1)
+    subs = mi_collision(mixed, seed=77, amplitude=0.5)
+    for sub, u in zip(subs, units):
+        assert np.array_equal(sub, mixed + (u * 2.0 - 1.0) * 0.5)

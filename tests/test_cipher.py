@@ -86,6 +86,71 @@ def test_key_distribution_uniform_n4():
         assert abs(c - expected) < 3 * sigma, f"{perm}: {c} vs {expected:.1f}"
 
 
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def zero_word_seed(k):
+    """Seed whose SplitMix64 stream has word k exactly 0: rejected by every
+    bound that is not a power of two, accepted as 0 by one that is."""
+    return (-(k + 1) * GAMMA) % 2**64
+
+
+def scalar_gen_key(seed, n):
+    """gen_key as one next_below call per swap: the oracle for the block draw."""
+    rng = SplitMix64(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.next_below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return tuple(perm)
+
+
+def scalar_drop_holes(seed, n, k):
+    rng = SplitMix64(seed)
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.next_below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return sorted(idx[:k])
+
+
+@pytest.mark.parametrize("seed,n", [
+    (zero_word_seed(0), 7),     # rejection at the first draw (bound 7)
+    (zero_word_seed(2), 7),     # rejection mid-stream (bound 5)
+    (zero_word_seed(0), 8),     # zero word accepted by a power of two
+    (zero_word_seed(5), 196),
+    (0, 784), (2**64 - 1, 3136), (12345, 2), (7, 1),
+])
+def test_gen_key_matches_scalar_oracle(seed, n):
+    assert gen_key(seed, n).perm == scalar_gen_key(seed, n)
+
+
+def test_gen_key_rejection_draws_an_extra_word():
+    # the rejected zero word shifts every later draw by one word, so the key
+    # differs from one drawn as if the zero word were accepted
+    seed = zero_word_seed(0)
+    accepted = SplitMix64(seed)
+    draws = [accepted.next_u64() * b >> 64 for b in range(7, 1, -1)]
+    perm = list(range(7))
+    for i, j in zip(range(6, 0, -1), draws):
+        perm[i], perm[j] = perm[j], perm[i]
+    assert gen_key(seed, 7).perm != tuple(perm)
+
+
+@pytest.mark.parametrize("seed,rows,cols,ratio", [
+    (zero_word_seed(0), 1, 7, 0.3),   # rejection at the first draw
+    (zero_word_seed(1), 1, 7, 0.3),   # k=2 at n=7: rejection at the last draw
+    (zero_word_seed(2), 1, 7, 0.5),   # rejection mid-stream
+    (zero_word_seed(0), 2, 4, 0.5),   # zero word accepted (bound 8)
+    (99, 28, 28, 0.2), (3, 14, 14, 0.9),
+])
+def test_drop_patches_matches_scalar_oracle(seed, rows, cols, ratio):
+    g = rand_grid(np.random.default_rng(19), rows=rows, cols=cols, ps=2, c=1)
+    n = rows * cols
+    holes = drop_patches(g, ratio, seed).holes
+    assert np.flatnonzero(holes).tolist() == scalar_drop_holes(seed, n, int(ratio * n))
+
+
 def test_inverse_of_small_perm():
     k = PermutationKey(n=3, perm=(2, 0, 1), seed=0)
     assert k.inverse().tolist() == [1, 2, 0]
@@ -469,6 +534,14 @@ def test_key_file_length_checked_before_gen_key(tmp_path, monkeypatch):
     path = tmp_path / "k.key"
     path.write_text(f"{KEY_MAGIC}\nn=30000000\nseed=0\nperm=0,1,2\n")
     with pytest.raises(KeyMismatchError):
+        load_key(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_key_file_rejects_out_of_range_seed(tmp_path, seed):
+    path = tmp_path / "k.key"
+    path.write_text(f"{KEY_MAGIC}\nn=3\nseed={seed}\nperm=0,1,2\n")
+    with pytest.raises(KeyMismatchError, match="seed"):
         load_key(path)
 
 

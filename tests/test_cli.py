@@ -140,6 +140,18 @@ def test_encrypt_decrypt_roundtrip(tmp_path):
     assert (tmp_path / "dec.ppm").read_bytes() == (tmp_path / "plain.ppm").read_bytes()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_decrypt_key_seed_out_of_range_is_key_error(tmp_path, capsys, seed):
+    write_image(tmp_path / "a.ppm", seed=6)
+    (tmp_path / "k.key").write_text(
+        f"{picrypt.cipher.KEY_MAGIC}\nn=16\nseed={seed}\nperm="
+        + ",".join(map(str, range(16))) + "\n")
+    assert run(["decrypt", "--in", str(tmp_path / "a.ppm"),
+                "--out", str(tmp_path / "d.ppm"), "--patch", "8",
+                "--key", str(tmp_path / "k.key")]) == 2
+    assert f"got {seed}" in capsys.readouterr().err
+
+
 def test_encrypt_none_copies_canonically(tmp_path):
     px = write_image(tmp_path / "a.ppm", seed=2)
     assert run(["encrypt", "--mode", "none", "--in", str(tmp_path / "a.ppm"),

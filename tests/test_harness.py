@@ -1,6 +1,7 @@
 """Tests for the experiment harness: data, training, leakage, solver sweeps."""
 
 import dataclasses
+import hashlib
 import re
 from pathlib import Path
 
@@ -70,6 +71,19 @@ def test_dataset_shapes_and_balance():
     assert d.test_x.shape == (6, 32, 32, 3)
     assert np.bincount(d.train_y).tolist() == [4, 4, 4]
     assert np.bincount(d.test_y).tolist() == [2, 2, 2]
+
+
+def test_dataset_bytes_pinned():
+    # taken when images were stacked from lists; preallocating keeps the bytes
+    spec = SynthSpec(image_size=32, classes=3, train_per_class=4,
+                     test_per_class=2, marker=True, seed=11)
+    d = gen_dataset(spec)
+    h = hashlib.sha256()
+    for a in (d.train_x, d.train_y, d.test_x, d.test_y):
+        h.update(a.tobytes())
+    assert h.hexdigest() == (
+        "6686420577da50603f74b443efed4c45101787af9e4c235b9558413b5cec4c32")
+    assert d.train_y.dtype == d.test_y.dtype == np.int64
 
 
 def test_dataset_deterministic():

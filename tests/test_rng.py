@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picrypt.rng import SplitMix64
 
@@ -83,3 +86,91 @@ def test_next_unit_in_half_open_interval():
     # mean of uniforms ~ 0.5 +- 5 sigma (sigma = 1/sqrt(12 n))
     mean = sum(vals) / len(vals)
     assert abs(mean - 0.5) < 5.0 / math.sqrt(12 * len(vals))
+
+
+# ---------------------------------------------------------------- block draws
+
+GAMMA = 0x9E3779B97F4A7C15
+MASK = (1 << 64) - 1
+
+
+def zero_word_seed(k):
+    """Seed whose stream has word k exactly 0: draw k mixes the state
+    seed + (k + 1) * gamma, and the SplitMix64 mix of 0 is 0."""
+    return (-(k + 1) * GAMMA) & MASK
+
+
+def test_zero_word_seed():
+    for k in (0, 1, 5):
+        r = SplitMix64(zero_word_seed(k))
+        words = [r.next_u64() for _ in range(k + 2)]
+        assert words[k] == 0
+        assert all(words[:k]) and words[k + 1]
+
+
+def test_u64_block_equals_scalar_words():
+    for seed in (0, 42, MASK, zero_word_seed(3)):
+        a, b = SplitMix64(seed), SplitMix64(seed)
+        block = a.next_u64_block(300)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [b.next_u64() for _ in range(300)]
+        assert a.state == b.state
+        assert a.next_u64() == b.next_u64()
+
+
+def test_u64_block_of_nothing_keeps_state():
+    r = SplitMix64(9)
+    assert r.next_u64_block(0).shape == (0,)
+    assert r.state == 9
+    with pytest.raises(ValueError):
+        r.next_u64_block(-1)
+
+
+def scalar_below(seed, bounds):
+    r = SplitMix64(seed)
+    return [r.next_below(int(b)) for b in bounds], r.state
+
+
+seeds = st.one_of(st.integers(0, MASK), st.integers(0, 40).map(zero_word_seed))
+bound_values = st.one_of(
+    st.integers(1, (1 << 32) - 1),
+    st.sampled_from([1, 2, 3, 7, 1 << 16, (1 << 32) - 2, (1 << 32) - 1]),
+    st.integers((1 << 32) - 1000, (1 << 32) - 1),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seeds, st.lists(bound_values, max_size=60))
+def test_below_block_equals_scalar_draws(seed, bounds):
+    want, want_state = scalar_below(seed, bounds)
+    r = SplitMix64(seed)
+    got = r.next_below_block(np.asarray(bounds, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert r.state == want_state
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_below_block_rejection_hands_back_to_scalar(k):
+    # word k is 0: rejected for a bound that is not a power of two, so the
+    # block spends one extra word; accepted as draw 0 for a power of two
+    bounds = [7, 9, 11, 5, 6]
+    draws, state = scalar_below(zero_word_seed(k), bounds)
+    r = SplitMix64(zero_word_seed(k))
+    assert r.next_below_block(bounds).tolist() == draws
+    assert r.state == state == (zero_word_seed(k) + 6 * GAMMA) & MASK
+
+    bounds = [8, 16, 4, 1 << 31, 2]
+    r = SplitMix64(zero_word_seed(k))
+    got = r.next_below_block(bounds).tolist()
+    assert got == scalar_below(zero_word_seed(k), bounds)[0]
+    assert got[k] == 0
+    assert r.state == (zero_word_seed(k) + 5 * GAMMA) & MASK
+
+
+@pytest.mark.parametrize("bad", [[1 << 32], [5, 1 << 64], [3, 0], [-2]])
+def test_below_block_rejects_bounds_before_drawing(bad):
+    r = SplitMix64(11)
+    with pytest.raises(ValueError):
+        r.next_below_block(bad)
+    assert r.state == 11
