@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ShapeError
+from .errors import ConfigError, GeometryError, ShapeError
 from .rng import SplitMix64
 
 # relation ranks used by the solver's tie-breaking, in pinned order
@@ -298,6 +298,8 @@ def mi_collision(mixed: np.ndarray, seed: int, amplitude: float = 0.25):
     d4 = -(d1 + d2 + d3), so the mean reproduces the ciphertext exactly;
     values may leave [0, 1] — the point is algebraic non-uniqueness.
     """
+    if not 0.0 <= amplitude <= 1.0:  # also false for nan
+        raise ConfigError(f"amplitude must be in [0, 1], got {amplitude}")
     m = np.asarray(mixed, dtype=np.float64)
     # 3 * m.size units off one stream, each the bits of next_unit: a word's
     # top 53 bits are exact in float64

@@ -26,6 +26,14 @@ class _UsageError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    # one range for every --seed: the seeds SplitMix64 and numpy both accept
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; we need 1, and no SystemExit
     def error(self, message):
@@ -42,7 +50,7 @@ def _build_parser() -> _Parser:
     enc.add_argument("--in", dest="infile", required=True)
     enc.add_argument("--out", required=True)
     enc.add_argument("--patch", type=int, default=16)
-    enc.add_argument("--seed", type=int, default=0)
+    enc.add_argument("--seed", type=_seed, default=0)
     enc.add_argument("--key", help="write the permutation key here (rs only)")
 
     dec = sub.add_parser("decrypt", help="invert an rs encryption with its key")
@@ -65,7 +73,7 @@ def _build_parser() -> _Parser:
                         help="recover a patch from a single-token gradient")
     gl.add_argument("--in", dest="infile", required=True)
     gl.add_argument("--patch", type=int, default=16)
-    gl.add_argument("--seed", type=int, default=0)
+    gl.add_argument("--seed", type=_seed, default=0)
 
     col = sub.add_parser("attack-collision",
                          help="construct colliding mixing preimages")
@@ -73,7 +81,7 @@ def _build_parser() -> _Parser:
     col.add_argument("--patch", type=int, default=16)
     col.add_argument("--row", type=int, default=0)
     col.add_argument("--col", type=int, default=0)
-    col.add_argument("--seed", type=int, default=0)
+    col.add_argument("--seed", type=_seed, default=0)
     col.add_argument("--amplitude", type=float, default=0.25)
 
     tr = sub.add_parser("train", help="train the classifier per a config file")
@@ -83,14 +91,14 @@ def _build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a checkpoint per a config file")
     ev.add_argument("--config", required=True)
     ev.add_argument("--ckpt", required=True)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=_seed, default=0)
 
     lk = sub.add_parser("leakage", help="marker-detection leakage ratio")
     lk.add_argument("--mode", required=True)
     lk.add_argument("--patch", type=int, default=16)
     lk.add_argument("--images", type=int, default=50)
     lk.add_argument("--image-size", type=int, default=64, dest="image_size")
-    lk.add_argument("--seed", type=int, default=0)
+    lk.add_argument("--seed", type=_seed, default=0)
 
     sw = sub.add_parser("sweep", help="security-vs-granularity table")
     sw.add_argument("--patch", default="16", help="comma-separated patch sizes")
@@ -98,13 +106,13 @@ def _build_parser() -> _Parser:
     sw.add_argument("--drop", default="0.0", help="comma-separated drop ratios")
     sw.add_argument("--image-size", type=int, default=224, dest="image_size")
     sw.add_argument("--images", type=int, default=20)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--seed", type=_seed, default=0)
     sw.add_argument("--train-config", dest="train_config",
                     help="config file enabling the model-accuracy column")
     sw.add_argument("--out", help="write CSV here instead of stdout")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    gc.add_argument("--seed", type=int, default=0)
+    gc.add_argument("--seed", type=_seed, default=0)
     gc.add_argument("--entries", type=int, default=1000)
 
     return p

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pevit
-from .attacks import Arrangement, jigsaw_solve, puzzle_metrics
+from .attacks import Arrangement, grad_leak_invert, jigsaw_solve, puzzle_metrics
 from .cipher import (
     drop_patches,
     encrypt,
@@ -174,8 +174,8 @@ def gen_puzzle_corpus(n: int, image_size: int, seed: int = 0) -> list:
     constant areas produce zero-cost impostor seams that poison any
     boundary-based solver.
     """
-    if image_size > MAX_IMAGE_SIZE:
-        raise ConfigError(f"image_size must be at most {MAX_IMAGE_SIZE}")
+    if not 1 <= image_size <= MAX_IMAGE_SIZE:
+        raise ConfigError(f"image_size must be in 1..{MAX_IMAGE_SIZE}")
     _check_corpus(n, image_size)
     rng = np.random.default_rng(seed)
     coarse = max(2, image_size // PUZZLE_CELL)
@@ -411,8 +411,6 @@ def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0) -> dict:
     direction matches the *encrypted* patch at that slot, not the
     plaintext one — the attack sees through the model, not the cipher.
     """
-    from .attacks import grad_leak_invert
-
     grid = split_patches(Image(pixels=pixels), patch_size, 0)
     key = gen_key(seed, grid.n_patches)
     enc = rs_encrypt(grid, key)

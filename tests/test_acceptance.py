@@ -20,7 +20,14 @@ from picrypt.attacks import (
     mi_collision,
     puzzle_metrics,
 )
-from picrypt.cipher import gen_key, keyspace, mi_encrypt, rs_decrypt, rs_encrypt
+from picrypt.cipher import (
+    gen_key,
+    keyspace,
+    mi_encrypt,
+    rs_decrypt,
+    rs_encrypt,
+    token_dim,
+)
 from picrypt.harness import (
     SynthSpec,
     TrainConfig,
@@ -35,7 +42,7 @@ from picrypt.harness import (
     truth_for_key,
 )
 from picrypt.imgio import Image, split_patches, split_subpatches
-from picrypt.mipembed import DetConfig, init_det_params, mi_patch_embed
+from picrypt.mipembed import init_mi_embed, mi_patch_embed
 from picrypt.pevit import ModelConfig, encoder_block, forward, init_params, msa
 from picrypt.tensor import Tensor, add, gelu, grad_check, layer_norm, matmul
 
@@ -169,14 +176,14 @@ def test_criterion_04_cipher_roundtrip_and_keyspace():
 
 def test_criterion_05_mi_embedding_identity_1000_patches():
     """embed(mean of subs) == mean of first-layer projections, then the rest."""
-    cfg = DetConfig(patch_size=8, channels=3, embed_dim=32, det_tokens=1)
-    params = init_det_params(cfg, n_patches=1, seed=6)
+    sub_dim = token_dim("mi", 8, 3)
+    params = init_mi_embed(sub_dim, 32, seed=6)
     rng = np.random.default_rng(6)
     w1, b1 = params["mi.w1"], params["mi.b1"]
     w2, b2 = params["mi.w2"], params["mi.b2"]
     worst = 0.0
     for _ in range(1000):
-        subs = rng.random((4, cfg.sub_dim))
+        subs = rng.random((4, sub_dim))
         direct = mi_patch_embed(params, subs.mean(axis=0)).data
         proj = (subs @ w1.data).mean(axis=0, keepdims=True)
         h = gelu(add(Tensor(proj), b1))

@@ -20,7 +20,7 @@ from picrypt.attacks import (
     puzzle_metrics,
 )
 from picrypt.cipher import gen_key
-from picrypt.errors import GeometryError, ShapeError
+from picrypt.errors import ConfigError, GeometryError, ShapeError
 from picrypt.harness import truth_for_key
 from picrypt.imgio import Image, split_patches
 from picrypt.rng import SplitMix64
@@ -497,6 +497,12 @@ def test_collision_respects_amplitude_bound():
     for s in subs[:3]:
         assert np.max(np.abs(s - mixed)) <= 0.1 + 1e-15
     assert np.max(np.abs(subs[3] - mixed)) <= 0.3 + 1e-15
+
+
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -0.1, 1.5])
+def test_collision_rejects_amplitude_outside_unit_interval(amplitude):
+    with pytest.raises(ConfigError, match="amplitude"):
+        mi_collision(np.full((2, 2, 1), 0.5), seed=1, amplitude=amplitude)
 
 
 @pytest.mark.parametrize("seed,digest", [

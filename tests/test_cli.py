@@ -51,6 +51,28 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert "picrypt:" in capsys.readouterr().err
 
 
+SEEDED_VERBS = {
+    "encrypt": ["--mode", "mi", "--in", "a.ppm", "--out", "b.ppm"],
+    "attack-gradleak": ["--in", "a.ppm"],
+    "attack-collision": ["--in", "a.ppm"],
+    "eval": ["--config", "c.cfg", "--ckpt", "m.petn"],
+    "leakage": ["--mode", "none", "--images", "2", "--image-size", "32"],
+    "sweep": ["--images", "2", "--image-size", "32"],
+    "gradcheck": [],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("verb", SEEDED_VERBS)
+def test_seed_out_of_range_is_usage_error(tmp_path, monkeypatch, capsys, verb, seed):
+    # rejected while parsing, before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    write_image(tmp_path / "a.ppm")
+    assert run([verb, *SEEDED_VERBS[verb], "--seed", seed]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ppm"]
+
+
 def test_bad_mode_fails_before_io(tmp_path, capsys):
     # never touches the filesystem: bad mode must not surface as exit 2
     assert run(["encrypt", "--mode", "nope", "--in", str(tmp_path / "x.ppm"),
@@ -249,6 +271,14 @@ def test_attack_collision_bounds_checked_first(tmp_path, capsys):
     assert "outside" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("amplitude", ["nan", "inf", "-0.1", "1.5"])
+def test_attack_collision_bad_amplitude_is_config_error(tmp_path, capsys, amplitude):
+    write_image(tmp_path / "a.ppm", seed=9)
+    assert run(["attack-collision", "--in", str(tmp_path / "a.ppm"),
+                "--amplitude", amplitude]) == 2
+    assert "amplitude" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- train/eval
 
 
@@ -377,6 +407,12 @@ def test_image_side_above_bound_is_config_error(tmp_path, capsys):
     assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "m.petn")]) == 2
     assert want in capsys.readouterr().err
     assert not (tmp_path / "m.petn").exists()
+
+
+@pytest.mark.parametrize("side", ["0", "-5"])
+def test_sweep_image_side_below_one_is_config_error(capsys, side):
+    assert run(["sweep", "--image-size", side, "--images", "1"]) == 2
+    assert "image_size must be" in capsys.readouterr().err
 
 
 def test_corpus_above_bound_is_config_error(monkeypatch, tmp_path, capsys):

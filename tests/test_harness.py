@@ -525,6 +525,10 @@ def test_image_side_bound():
         SynthSpec(image_size=MAX_IMAGE_SIZE + 1)
     with pytest.raises(ConfigError, match="image_size"):
         gen_puzzle_corpus(1, MAX_IMAGE_SIZE + 1)
+    assert gen_puzzle_corpus(1, 1)[0].shape == (1, 1, 3)
+    for side in (0, -5):
+        with pytest.raises(ConfigError, match="image_size"):
+            gen_puzzle_corpus(1, side)
     with pytest.raises(ConfigError, match="image_size"):
         sweep([SweepCell(patch_size=16, image_size=MAX_IMAGE_SIZE + 1)], corpus_size=1)
 

