@@ -23,10 +23,6 @@ import numpy as np
 from .errors import ConfigError, GeometryError, ShapeError
 from .rng import SplitMix64
 
-# relation ranks used by the solver's tie-breaking, in pinned order
-_REL_RANK = {"right": 0, "below": 1, "left": 2, "above": 3}
-
-
 @dataclass(frozen=True, eq=False)
 class Arrangement:
     """A placement of patch indices into a rows x cols slot grid.
@@ -54,9 +50,10 @@ class Arrangement:
 
 def _norm_patch(p: np.ndarray) -> np.ndarray:
     a = np.asarray(p)
+    out = a.astype(np.float64)
     if a.dtype == np.uint8:
-        return a.astype(np.float64) / 255.0
-    return a.astype(np.float64)
+        out /= 255.0
+    return out
 
 
 def edge_dissimilarity(a, b, relation: str) -> float:
@@ -64,17 +61,15 @@ def edge_dissimilarity(a, b, relation: str) -> float:
 
     relation "right": b sits right of a (a's last column vs b's first);
     relation "below": b sits below a (a's last row vs b's first row).
+    The value is the [0, 1] entry of ``seam_tables`` over the pair.
     """
     pa, pb = _norm_patch(a), _norm_patch(b)
     if pa.shape != pb.shape:
         raise ShapeError(f"patch shapes differ: {pa.shape} vs {pb.shape}")
-    if relation == "right":
-        diff = pa[:, -1, :] - pb[:, 0, :]
-    elif relation == "below":
-        diff = pa[-1, :, :] - pb[0, :, :]
-    else:
+    if relation not in ("right", "below"):
         raise ValueError(f"unknown relation {relation!r}")
-    return float((diff * diff).sum())
+    d_right, d_below = seam_tables(np.stack([pa, pb]))
+    return float((d_right if relation == "right" else d_below)[0, 1])
 
 
 # rows of the seam tables filled per step: bounds the (rows, n, edge)
@@ -86,18 +81,19 @@ _TABLE_BLOCK = 64
 MAX_SOLVE_PATCHES = 4096
 
 
-def _dissimilarity_tables(patches: np.ndarray):
+def seam_tables(stack: np.ndarray):
     """D_right[i, j] = cost of j right of i; D_below[i, j] = j below i.
 
-    Filled _TABLE_BLOCK rows at a time; each entry is the same contiguous
-    reduction as in a one-shot (n, n, edge) broadcast, so the values are
-    bit-identical to it.
+    ``stack`` is an (n, P, P, C) float array; the diagonals are inf, so
+    no patch is its own neighbor. Filled _TABLE_BLOCK rows at a time; each
+    entry is the same contiguous reduction as in a one-shot (n, n, edge)
+    broadcast, so the values are bit-identical to it.
     """
-    n = patches.shape[0]
-    last_col = patches[:, :, -1, :].reshape(n, -1)
-    first_col = patches[:, :, 0, :].reshape(n, -1)
-    last_row = patches[:, -1, :, :].reshape(n, -1)
-    first_row = patches[:, 0, :, :].reshape(n, -1)
+    n = stack.shape[0]
+    last_col = stack[:, :, -1, :].reshape(n, -1)
+    first_col = stack[:, :, 0, :].reshape(n, -1)
+    last_row = stack[:, -1, :, :].reshape(n, -1)
+    first_row = stack[:, 0, :, :].reshape(n, -1)
     d_right = np.empty((n, n))
     d_below = np.empty((n, n))
     for lo in range(0, n, _TABLE_BLOCK):
@@ -109,21 +105,21 @@ def _dissimilarity_tables(patches: np.ndarray):
     return d_right, d_below
 
 
-# neighbor offsets of a slot, in the pinned relation order right/below/left/above
+# neighbor offsets of a slot, in the pinned relation order right/below/left/above;
+# a relation's rank is its position here
 _NEIGHBORS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
-def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
-    """Greedy kernel-growing placement of shuffled patches.
+def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
+    """Greedy kernel-growing placement of n patches given their seam tables.
 
-    ``patches`` is an (N, P, P, C) array (or a list of patches); patches
-    marked in the optional (N,) bool mask ``holes`` are never placed.
-    Seeds with the globally minimal dissimilarity pair, then repeatedly
-    places the unplaced patch with the smallest dissimilarity summed over
-    its already-placed neighbors, keeping the kernel's bounding box within
-    rows x cols. Ties break by lower patch index, then relation order
-    right/below/left/above, then slot coordinates, so results are
-    deterministic.
+    ``d_right`` and ``d_below`` are n x n tables as ``seam_tables`` returns
+    them; slots of the result hold table indices, and the tables are not
+    changed. Seeds with the globally minimal pair, then repeatedly places
+    the unplaced patch with the smallest cost summed over its already-placed
+    neighbors, keeping the kernel's bounding box within rows x cols. Ties
+    break by lower patch index, then relation order right/below/left/above,
+    then slot coordinates, so results are deterministic.
 
     Each frontier slot keeps its best (score, patch, relation, slot) key
     between placements. A placement rescores only the empty slots next to
@@ -132,48 +128,34 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
     rather than O(n^2 * frontier); flat inputs, where every slot wants the
     same patch, still rescore the whole frontier.
     """
-    patches = np.asarray(patches)
-    if holes is None:
-        idx_map = list(range(len(patches)))
-    else:
-        idx_map = np.flatnonzero(~np.asarray(holes, dtype=bool)).tolist()
-    n = len(idx_map)
-    if n > MAX_SOLVE_PATCHES:
-        raise GeometryError(f"{n} patches exceed the solver bound of {MAX_SOLVE_PATCHES}")
-    if n > rows * cols:
-        raise GeometryError(f"{n} patches cannot fit {rows}x{cols} slots")
-    slots = np.full((rows, cols), -1, dtype=np.int64)
-    if n <= 1:  # nothing to match: a lone patch goes to slot (0, 0)
-        slots.flat[:n] = idx_map
-        return Arrangement(slots)
-    stack = patches[idx_map].astype(np.float64)
-    if patches.dtype == np.uint8:  # the scaling of _norm_patch, all at once
-        stack /= 255.0
-
-    d_right, d_below = _dissimilarity_tables(stack)
+    d_right, d_below = np.asarray(d_right), np.asarray(d_below)
+    n = len(d_right) if d_right.ndim else 0
+    if d_right.shape != (n, n) or d_below.shape != (n, n):
+        raise GeometryError(f"seam tables {d_right.shape} and {d_below.shape} are not n x n")
+    if not 2 <= n <= rows * cols or rows < 1 or cols < 1:
+        raise GeometryError(f"{n} patches: a placement needs 2 to {rows}x{cols}")
 
     # seed: minimal pair over the relations the grid can hold (a one-row or
     # one-column grid admits only one); tie key (score, i, j, relation)
     best = None
-    for rel, table, room in (("right", d_right, cols > 1), ("below", d_below, rows > 1)):
+    for rank, (table, room) in enumerate(((d_right, cols > 1), (d_below, rows > 1))):
         if not room:
             continue
-        lo = table.min()
         ii, jj = np.unravel_index(np.argmin(table), table.shape)
-        key = (lo, int(ii), int(jj), _REL_RANK[rel])
+        key = (table.min(), int(ii), int(jj), rank)
         if best is None or key < best:
             best = key
     _, si, sj, srel = best
-    placed = {(0, 0): si}
-    if srel == _REL_RANK["right"]:
-        placed[(0, 1)] = sj
-    else:
-        placed[(1, 0)] = sj
+    placed = {(0, 0): si, _NEIGHBORS[srel]: sj}
     unplaced = np.ones(n, dtype=bool)
     unplaced[si] = unplaced[sj] = False
     free = np.flatnonzero(unplaced)
     lo_r = lo_c = 0
-    hi_r, hi_c = (0, 1) if srel == _REL_RANK["right"] else (1, 0)
+    hi_r, hi_c = _NEIGHBORS[srel]
+
+    # per relation, the table whose row q scores a slot next to placed q:
+    # the rows of d_right/d_below, then their columns (rows of the transposes)
+    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, d_right.T, d_below.T)))
 
     def fits(s):
         height = max(hi_r, s[0]) - min(lo_r, s[0]) + 1
@@ -184,19 +166,11 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
         # placed neighbors summed in relation order, argmin over free patches
         score = np.zeros(len(free))
         rel_rank = 4
-        for rank, (dr, dc) in enumerate(_NEIGHBORS):
+        for rank, ((dr, dc), table) in enumerate(seams):
             q = placed.get((r - dr, c - dc))
-            if q is None:
-                continue
-            if rank == 0:    # neighbor to the left, slot right of it
-                score += d_right[q, free]
-            elif rank == 1:  # neighbor above, slot below it
-                score += d_below[q, free]
-            elif rank == 2:  # neighbor to the right
-                score += d_right[free, q]
-            else:            # neighbor underneath
-                score += d_below[free, q]
-            rel_rank = min(rel_rank, rank)
+            if q is not None:
+                score += table[q, free]
+                rel_rank = min(rel_rank, rank)
         k = int(np.argmin(score))  # first occurrence = lowest patch index
         return (float(score[k]), int(free[k]), rel_rank, r, c)
 
@@ -228,9 +202,35 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
         stale = {s for s, key in frontier.items() if key[1] == pick}
         stale.update(open_neighbors(r, c))
 
+    slots = np.full((rows, cols), -1, dtype=np.int64)
     for (r, c), i in placed.items():
-        slots[r - lo_r, c - lo_c] = idx_map[i]
+        slots[r - lo_r, c - lo_c] = i
     return Arrangement(slots)
+
+
+def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
+    """Solve a shuffled patch grid: ``place`` over the ``seam_tables``.
+
+    ``patches`` is an (N, P, P, C) array (or a list of patches), uint8 or
+    float in [0, 1]; patches marked in the optional (N,) bool mask ``holes``
+    are never placed. Slots of the result hold indices into ``patches``.
+    """
+    patches = np.asarray(patches)
+    if holes is None:
+        idx_map = np.arange(len(patches))
+    else:
+        idx_map = np.flatnonzero(~np.asarray(holes, dtype=bool))
+    n = len(idx_map)
+    if n > MAX_SOLVE_PATCHES:
+        raise GeometryError(f"{n} patches exceed the solver bound of {MAX_SOLVE_PATCHES}")
+    if n > rows * cols:
+        raise GeometryError(f"{n} patches cannot fit {rows}x{cols} slots")
+    if n <= 1:  # nothing to match: a lone patch goes to slot (0, 0)
+        slots = np.full((rows, cols), -1, dtype=np.int64)
+        slots.flat[:n] = idx_map
+        return Arrangement(slots)
+    found = place(*seam_tables(_norm_patch(patches[idx_map])), rows, cols).slots
+    return Arrangement(np.where(found >= 0, idx_map[found], -1))
 
 
 def puzzle_metrics(found: Arrangement, truth: Arrangement) -> dict:

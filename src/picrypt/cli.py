@@ -162,7 +162,7 @@ def _cmd_attack_jigsaw(args) -> int:
     metrics = None
     if args.key:
         key = cipher.load_key(args.key)
-        truth = harness.truth_for_key(key, grid.rows, grid.cols, grid.patches)
+        truth = harness.truth_for_key(key, grid.rows, grid.cols)
         metrics = attacks.puzzle_metrics(found, truth)
     text = attacks.dump_arrangement(found, metrics)
     if args.out:
@@ -272,6 +272,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.entries < 1:
+        raise _UsageError(f"--entries must be >= 1, got {args.entries}")
     cfg = pevit.ModelConfig(patch_dim=12, dim=16, depth=2, heads=2,
                             ffn_dim=32, n_classes=4, rpe=True, rpe_hidden=8)
     params = pevit.init_params(cfg, seed=args.seed)

@@ -480,8 +480,7 @@ def leakage_ratio(corpus, encryption: str, patch_size: int = 16,
 # solver experiments and sweeps
 
 
-def truth_for_key(key, rows: int, cols: int, encrypted_patches, *,
-                  holes=None) -> Arrangement:
+def truth_for_key(key, rows: int, cols: int, *, holes=None) -> Arrangement:
     """Ground-truth arrangement of RS-shuffled patches.
 
     Position i of the encrypted patches holds original patch key.perm[i],
@@ -490,7 +489,7 @@ def truth_for_key(key, rows: int, cols: int, encrypted_patches, *,
     """
     if key.n != rows * cols:
         raise KeyMismatchError(f"key is for {key.n} patches, grid has {rows}x{cols}")
-    kept = np.arange(len(encrypted_patches))
+    kept = np.arange(key.n)
     if holes is not None:
         kept = kept[~np.asarray(holes, dtype=bool)]
     slots = np.full(rows * cols, -1, dtype=np.int64)
@@ -508,7 +507,7 @@ def solve_image(pixels: np.ndarray, patch_size: int, interval: int,
     key = gen_key(rng.next_u64(), grid.n_patches)
     enc = rs_encrypt(grid, key)
     found = jigsaw_solve(enc.patches, grid.rows, grid.cols, holes=enc.holes)
-    truth = truth_for_key(key, grid.rows, grid.cols, enc.patches, holes=enc.holes)
+    truth = truth_for_key(key, grid.rows, grid.cols, holes=enc.holes)
     return puzzle_metrics(found, truth)
 
 
@@ -539,6 +538,10 @@ class SweepCell:
     interval: int = 0
     drop_ratio: float = 0.0
     image_size: int = 224
+
+    def __post_init__(self):
+        if not 0.0 <= self.drop_ratio < 1.0:  # also false for nan
+            raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
 
 
 # sweep CSV columns and their format specs, in order; the first four are

@@ -35,6 +35,11 @@ from .tensor import (
 )
 
 
+# most weights a model may hold: 256 MiB of float64, 1 GiB with the
+# gradient and Adam's two moments beside it
+MAX_MODEL_FLOATS = 1 << 25
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     patch_dim: int          # flattened patch width (P*P*C, or the mixed quadrant)
@@ -53,6 +58,17 @@ class ModelConfig:
                 raise ConfigError(f"{field} must be >= 1")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
+        if self.n_weights > MAX_MODEL_FLOATS:
+            raise ConfigError(f"{self.n_weights} model weights exceed "
+                              f"MAX_MODEL_FLOATS = {MAX_MODEL_FLOATS}")
+
+    @property
+    def n_weights(self) -> int:
+        """Entries over all init_params arrays, counted from the fields alone."""
+        d, f, h = self.dim, self.ffn_dim, self.rpe_hidden
+        return (self.patch_dim * d + 2 * d + (d + 1) * self.n_classes
+                + self.depth * (4 * d * d + 2 * d * f + f + 5 * d)
+                + self.rpe * (self.patch_dim * (1 + h) + h * (1 + d) + d))
 
     @property
     def head_dim(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 _ids = itertools.count()
 
@@ -310,8 +310,13 @@ def grad_check(f, params, tolerance: float = 1e-4,
     f must return a scalar Tensor. Checks every parameter entry, or a
     seeded sample of ``max_entries`` of them. Relative error uses
     max(|analytic|, |numeric|, GRAD_CHECK_FLOOR) as denominator so
-    near-zero gradients are compared absolutely.
+    near-zero gradients are compared absolutely. A check of no entry
+    raises ConfigError.
     """
+    if max_entries is not None and max_entries < 1:
+        raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
+    if not any(t.data.size for t in params.values()):
+        raise ConfigError("no parameter entries to check")
     zero_grads(params)
     loss = f(params)
     backward(loss)

@@ -17,7 +17,9 @@ from picrypt.attacks import (
     grad_leak_invert,
     jigsaw_solve,
     mi_collision,
+    place,
     puzzle_metrics,
+    seam_tables,
 )
 from picrypt.cipher import gen_key
 from picrypt.errors import ConfigError, GeometryError, ShapeError
@@ -142,7 +144,7 @@ def test_jigsaw_rejects_more_patches_than_its_bound(monkeypatch):
     def no_tables(stack):
         raise RuntimeError(f"tables for {len(stack)} patches")
 
-    monkeypatch.setattr(attacks, "_dissimilarity_tables", no_tables)
+    monkeypatch.setattr(attacks, "seam_tables", no_tables)
     patches = np.zeros((MAX_SOLVE_PATCHES + 1, 2, 2, 1), dtype=np.uint8)
     with pytest.raises(GeometryError, match="solver bound"):
         jigsaw_solve(patches, 65, 65)
@@ -228,6 +230,33 @@ def test_jigsaw_one_row_and_one_column_grids():
         arr = jigsaw_solve(patches, rows, cols)
         assert arr.slots.shape == (rows, cols)
         assert sorted(placed(arr)) == list(range(len(patches)))
+
+
+def test_place_rejects_tables_that_are_not_n_by_n():
+    sq = np.zeros((3, 3))
+    for d_right, d_below in ((sq, np.zeros((4, 4))), (np.zeros((4, 4)), sq),
+                             (np.zeros((3, 4)), np.zeros((3, 4))),
+                             (np.zeros(3), np.zeros(3)), (np.float64(0.0), np.float64(0.0)),
+                             (np.zeros((3, 3, 1)), np.zeros((3, 3, 1)))):
+        with pytest.raises(GeometryError, match="not n x n"):
+            place(d_right, d_below, 2, 2)
+
+
+@pytest.mark.parametrize("n, rows, cols",
+                         [(0, 2, 2), (1, 2, 2), (5, 2, 2), (3, 1, 2), (2, -1, -2)])
+def test_place_rejects_patch_counts_outside_two_to_slots(n, rows, cols):
+    with pytest.raises(GeometryError, match="a placement needs 2"):
+        place(np.zeros((n, n)), np.zeros((n, n)), rows, cols)
+
+
+def test_place_leaves_tables_unchanged():
+    patches = patches_of(smooth_image(24, seed=2), 8)
+    perm = np.random.default_rng(3).permutation(9)
+    d_right, d_below = seam_tables(np.stack([patches[i] / 255.0 for i in perm]))
+    want = d_right.copy(), d_below.copy()
+    found = place(d_right, d_below, 3, 3)
+    assert np.array_equal(d_right, want[0]) and np.array_equal(d_below, want[1])
+    assert np.array_equal(found.slots, jigsaw_solve([patches[i] for i in perm], 3, 3).slots)
 
 
 # ---------------------------------------------------------------- metrics
@@ -399,10 +428,9 @@ def test_truth_for_key_matches_dict_oracle(rows, cols, seed, data):
     n = rows * cols
     key = gen_key(seed, n)
     holes = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    patches = np.zeros((n, 2, 2, 1), dtype=np.uint8)
-    got = truth_for_key(key, rows, cols, patches, holes=holes)
+    got = truth_for_key(key, rows, cols, holes=holes)
     assert as_placement(got.slots) == oracle_truth(key, cols, np.flatnonzero(~holes))
-    got = truth_for_key(key, rows, cols, patches)
+    got = truth_for_key(key, rows, cols)
     assert as_placement(got.slots) == oracle_truth(key, cols, range(n))
 
 

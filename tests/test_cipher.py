@@ -9,6 +9,7 @@ import pytest
 
 from picrypt.cipher import (
     KEY_MAGIC,
+    MAX_SPN_ROUNDS,
     MixedGrid,
     PermutationKey,
     drop_patches,
@@ -17,13 +18,14 @@ from picrypt.cipher import (
     keyspace,
     load_key,
     mi_encrypt,
+    parse_mode,
     quantize_mixed,
     rs_encrypt,
     rs_decrypt,
     save_key,
     spn_encrypt,
 )
-from picrypt.errors import GeometryError, KeyMismatchError, PicryptError
+from picrypt.errors import ConfigError, GeometryError, KeyMismatchError, PicryptError
 from picrypt.imgio import Image, PatchGrid, split_patches, split_subpatches
 from picrypt.rng import SplitMix64
 
@@ -379,6 +381,14 @@ def test_spn_rejects_zero_rounds():
     rng = np.random.default_rng(13)
     with pytest.raises(ValueError):
         spn_encrypt(rand_grid(rng), 0, 0)
+
+
+def test_parse_mode_bounds_spn_rounds():
+    # checked at the parser only: a test that ran 17 rounds would be slow
+    assert MAX_SPN_ROUNDS == 16
+    assert parse_mode("spn:16") == ("spn", 16)
+    with pytest.raises(ConfigError, match="1..16"):
+        parse_mode("spn:17")
 
 
 def test_spn_more_rounds_flatten_patch_means():

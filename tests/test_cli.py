@@ -8,6 +8,7 @@ import pytest
 
 import picrypt.cipher
 import picrypt.harness
+import picrypt.pevit
 from picrypt.cli import MAX_KEYSPACE_N, run
 from picrypt.errors import ConfigError
 from picrypt.harness import TrainConfig
@@ -21,6 +22,18 @@ TINY_CFG = (
     "model.heads = 2\nmodel.ffn_dim = 32\ntrain.epochs = 1\n"
     "enc.mode = rs\nenc.patch_size = 16\n"
 )
+
+
+def no_drawing(monkeypatch):
+    def drew(*args):
+        raise AssertionError("an image was drawn")
+
+    monkeypatch.setattr(picrypt.harness, "_render_sample", drew)
+    monkeypatch.setattr(picrypt.harness, "_bilinear_upsample", drew)
+
+
+def allocated(*args, **kwargs):
+    raise AssertionError("model weights were allocated")
 
 
 def write_image(path, size=32, seed=0, channels=3):
@@ -81,7 +94,7 @@ def test_bad_mode_fails_before_io(tmp_path, capsys):
 
 
 ACCEPTED_MODES = ("none", "rs", "mi", "rs+mi", "mi+rs", "spn:1", "spn:4")
-REJECTED_MODES = ("", "RS", "spn:0", "spn:", "spn:x", "mi+mi")
+REJECTED_MODES = ("", "RS", "spn:0", "spn:", "spn:x", "mi+mi", "spn:17")
 
 
 @pytest.mark.parametrize("mode", ACCEPTED_MODES + REJECTED_MODES)
@@ -364,6 +377,26 @@ def test_train_bad_model_field_is_config_error(tmp_path, capsys, field, value):
     assert not ckpt.exists()
 
 
+def test_train_spn_rounds_above_bound_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG.replace("enc.mode = rs", "enc.mode = spn:17"))
+    assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "m.petn")]) == 2
+    assert "spn rounds must be in 1..16" in capsys.readouterr().err
+
+
+def test_train_model_above_bound_is_config_error(monkeypatch, tmp_path, capsys):
+    # rejected with the config, before any image is drawn or weight allocated
+    no_drawing(monkeypatch)
+    monkeypatch.setattr(picrypt.pevit, "init_params", allocated)
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(TINY_CFG.replace("model.dim = 16", "model.dim = 4000000")
+                   .replace("model.heads = 2", "model.heads = 1"))
+    ckpt = tmp_path / "m.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+    assert "MAX_MODEL_FLOATS" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_bad_config_key_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("data.bogus = 1\n")
@@ -417,11 +450,7 @@ def test_sweep_image_side_below_one_is_config_error(capsys, side):
 
 def test_corpus_above_bound_is_config_error(monkeypatch, tmp_path, capsys):
     # every CLI route to a generated corpus checks its size before drawing
-    def drew(*args):
-        raise AssertionError("an image was drawn")
-
-    monkeypatch.setattr(picrypt.harness, "_render_sample", drew)
-    monkeypatch.setattr(picrypt.harness, "_bilinear_upsample", drew)
+    no_drawing(monkeypatch)
     want = "MAX_CORPUS_BYTES"
     assert run(["leakage", "--mode", "none", "--images", "100000000",
                 "--image-size", "256"]) == 2
@@ -462,6 +491,17 @@ def test_sweep_bad_list_is_usage_error(capsys):
     assert run(["sweep", "--patch", "16,x"]) == 1
 
 
+@pytest.mark.parametrize("drop", ["nan", "-0.5", "1.0", "1.5"])
+def test_sweep_drop_outside_unit_interval_is_config_error(monkeypatch, tmp_path, capsys, drop):
+    # rejected with the cells, before any corpus is built
+    no_drawing(monkeypatch)
+    dest = tmp_path / "sweep.csv"
+    assert run(["sweep", "--drop", f"0.1,{drop}", "--image-size", "32", "--images", "1",
+                "--out", str(dest)]) == 2
+    assert "drop_ratio must be in [0, 1)" in capsys.readouterr().err
+    assert not dest.exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 
@@ -471,3 +511,11 @@ def test_gradcheck_verb(capsys):
     assert out["passed"] == "true"
     assert float(out["max_rel_error"]) < 1e-4
     assert int(out["n_checked"]) == 60
+
+
+@pytest.mark.parametrize("entries", ["0", "-3"])
+def test_gradcheck_entries_below_one_is_usage_error(monkeypatch, capsys, entries):
+    monkeypatch.setattr(picrypt.pevit, "init_params", allocated)
+    assert run(["gradcheck", "--entries", entries]) == 1
+    captured = capsys.readouterr()
+    assert "--entries must be >= 1" in captured.err and captured.out == ""

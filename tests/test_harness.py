@@ -480,7 +480,7 @@ def test_truth_for_key_matches_manual_construction():
     grid = split_patches(Image(pixels=img), 16, 0)
     key = gen_key(9, 4)
     enc = rs_encrypt(grid, key)
-    truth = truth_for_key(key, 2, 2, enc.patches)
+    truth = truth_for_key(key, 2, 2)
     # slot of original patch j must hold the encrypted index i with perm[i]=j
     for i, j in enumerate(key.perm):
         assert truth.slots[j // 2, j % 2] == i
@@ -508,10 +508,9 @@ def test_solve_corpus_rejects_empty_corpus():
 
 
 def test_truth_for_key_rejects_key_of_wrong_size():
-    patches = np.zeros((4, 16, 16, 3), dtype=np.uint8)
     for n in (3, 5):
         with pytest.raises(KeyMismatchError):
-            truth_for_key(gen_key(0, n), 2, 2, patches)
+            truth_for_key(gen_key(0, n), 2, 2)
 
 
 # ---------------------------------------------------------------- sweep
@@ -558,6 +557,12 @@ def test_puzzle_corpus_bound_before_any_image(monkeypatch):
         gen_puzzle_corpus(MAX_CORPUS_BYTES // (64 * 64 * 3) + 1, 64)
     with pytest.raises(ConfigError, match="MAX_CORPUS_BYTES"):
         sweep([SweepCell(patch_size=16, image_size=224)], corpus_size=10**8)
+
+
+@pytest.mark.parametrize("drop", [float("nan"), -0.5, 1.0, 1.5])
+def test_sweep_cell_rejects_drop_outside_unit_interval(drop):
+    with pytest.raises(ConfigError, match="drop_ratio"):
+        SweepCell(patch_size=16, drop_ratio=drop)
 
 
 def test_sweep_rows_and_csv():

@@ -11,16 +11,17 @@ a one-row or one-column grid could be seeded with a pair it cannot hold.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from picrypt.attacks import (
     _TABLE_BLOCK,
     Arrangement,
-    _dissimilarity_tables,
     _norm_patch,
     dump_arrangement,
     jigsaw_solve,
+    place,
+    seam_tables,
 )
 from picrypt.cipher import drop_patches, gen_key, rs_encrypt
 from picrypt.errors import GeometryError
@@ -28,7 +29,7 @@ from picrypt.harness import gen_puzzle_corpus
 from picrypt.imgio import Image, split_patches
 from picrypt.rng import SplitMix64
 
-_REL_RANK = {"right": 0, "below": 1, "left": 2, "above": 3}
+REL_RANK = {"right": 0, "below": 1, "left": 2, "above": 3}
 
 # the reference solver takes a patch list with HOLE entries for dropped patches
 HOLE = None
@@ -70,12 +71,12 @@ def reference_jigsaw_solve(patches, rows, cols):
             continue
         lo = table.min()
         ii, jj = np.unravel_index(np.argmin(table), table.shape)
-        key = (lo, int(ii), int(jj), _REL_RANK[rel])
+        key = (lo, int(ii), int(jj), REL_RANK[rel])
         if best is None or key < best:
             best = key
     _, si, sj, srel = best
     placed = {(0, 0): si}
-    if srel == _REL_RANK["right"]:
+    if srel == REL_RANK["right"]:
         placed[(0, 1)] = sj
     else:
         placed[(1, 0)] = sj
@@ -121,7 +122,7 @@ def reference_jigsaw_solve(patches, rows, cols):
                     score += d_right[free, q]
                 else:
                     score += d_below[free, q]
-                rel_rank = min(rel_rank, _REL_RANK[rel])
+                rel_rank = min(rel_rank, REL_RANK[rel])
             k = int(np.argmin(score))
             key = (float(score[k]), int(free[k]), rel_rank, r, c)
             if best is None or key < best:
@@ -158,7 +159,7 @@ def test_blocked_tables_equal_broadcast(ps):
     n = 2 * _TABLE_BLOCK + 22
     raw = rng.integers(0, 256, size=(n, ps, ps, 3), dtype=np.uint8)
     stack = np.stack([_norm_patch(p) for p in raw])
-    got = _dissimilarity_tables(stack)
+    got = seam_tables(stack)
     want = broadcast_tables(stack)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
@@ -200,6 +201,19 @@ def puzzles(draw):
 @example(([np.full((1, 1, 1), v, dtype=np.uint8) for v in (0, 255) * 3], 1, 6))
 def test_incremental_matches_reference(puzzle):
     assert_same_solve(*puzzle)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(puzzles())
+def test_place_on_broadcast_tables_matches_reference(puzzle):
+    # place reads only the tables it is given: the one-shot broadcast tables
+    # of the puzzle's patches, holes left out, give the reference arrangement
+    raw, rows, cols = puzzle
+    patches = [p for p in raw if p is not HOLE]
+    assume(len(patches) >= 2)
+    stack = np.stack([_norm_patch(p) for p in patches])
+    want = dump_arrangement(reference_jigsaw_solve(patches, rows, cols))
+    assert dump_arrangement(place(*broadcast_tables(stack), rows, cols)) == want
 
 
 def test_random_partial_grid_matches_reference():

@@ -5,6 +5,7 @@ import pytest
 
 from picrypt.errors import ConfigError, ShapeError
 from picrypt.pevit import (
+    MAX_MODEL_FLOATS,
     ModelConfig,
     encode,
     encoder_block,
@@ -76,6 +77,22 @@ def test_config_rejects_zero_heads_and_rpe_hidden(field, value):
     # not a ZeroDivisionError
     with pytest.raises(ConfigError, match=field):
         ModelConfig(patch_dim=12, rpe=True, **{field: value})
+
+
+@pytest.mark.parametrize("rpe", [False, True])
+def test_config_weight_count_covers_init_params(rpe):
+    for cfg in (ModelConfig(patch_dim=768, rpe=rpe),
+                ModelConfig(patch_dim=5, dim=6, depth=3, heads=3, ffn_dim=7,
+                            n_classes=9, rpe=rpe, rpe_hidden=2)):
+        assert cfg.n_weights >= sum(p.data.size for p in init_params(cfg).values())
+
+
+def test_config_rejects_weights_above_bound():
+    assert ModelConfig(patch_dim=768).n_weights == 248_842  # the criterion-6 model
+    with pytest.raises(ConfigError, match="MAX_MODEL_FLOATS"):
+        ModelConfig(patch_dim=768, dim=4_000_000, heads=1)
+    with pytest.raises(ConfigError, match="MAX_MODEL_FLOATS"):
+        ModelConfig(patch_dim=1, dim=1, heads=1, ffn_dim=1, depth=MAX_MODEL_FLOATS)
 
 
 def test_init_params_names_and_shapes():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from picrypt.errors import PicryptError, ShapeError
+from picrypt.errors import ConfigError, PicryptError, ShapeError
 from picrypt.tensor import (
     CHECKPOINT_MAGIC,
     LAYER_NORM_EPS,
@@ -325,6 +325,15 @@ def test_grad_check_sampling_is_deterministic():
     b = grad_check(f, params, max_entries=10, seed=3)
     assert a.n_checked == b.n_checked == 10
     assert a.max_rel_error == b.max_rel_error and a.param == b.param
+
+
+@pytest.mark.parametrize("max_entries", [0, -3])
+def test_grad_check_of_no_entry_is_config_error(max_entries):
+    params = {"w": t(np.ones((2, 2)))}
+    with pytest.raises(ConfigError, match="max_entries must be >= 1"):
+        grad_check(lambda p: scalar_sum(p["w"]), params, max_entries=max_entries)
+    with pytest.raises(ConfigError, match="no parameter entries"):
+        grad_check(lambda p: scalar_sum(p["w"]), {"w": t(np.ones((0, 2)))})
 
 
 # ---------------------------------------------------------------- checkpoint
