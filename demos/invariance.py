@@ -3,15 +3,14 @@
 The classifier reads the class token only, and nothing in the encoder
 depends on token order, so any patch permutation leaves the output bits
 of headroom below any sane tolerance. A baseline with learned absolute
-positions, same encoder otherwise, shows what order-sensitivity looks
-like.
+positions (ModelConfig.positions), same encoder otherwise, shows what
+order-sensitivity looks like.
 """
 
 import dataclasses
 
 import numpy as np
 
-from picrypt.harness import baseline_forward, baseline_init
 from picrypt.pevit import ModelConfig, forward, init_params
 
 
@@ -32,11 +31,12 @@ def main():
         print(f"rpe={use_rpe!s:5}  max logit deviation over 50 shuffles: "
               f"{worst:.2e}")
 
-    bparams = baseline_init(cfg, n_patches=16, seed=1)
-    base = baseline_forward(bparams, cfg, x).data
+    bcfg = dataclasses.replace(cfg, positions=17)
+    bparams = init_params(bcfg, seed=1)
+    base = forward(bparams, bcfg, x).data
     worst = 0.0
     for _ in range(50):
-        out = baseline_forward(bparams, cfg, x[rng.permutation(16)]).data
+        out = forward(bparams, bcfg, x[rng.permutation(16)]).data
         worst = max(worst, float(np.max(np.abs(out - base))))
     print(f"positional baseline     max logit deviation: {worst:.2e}")
 

@@ -260,9 +260,13 @@ def encrypt(grid: PatchGrid, setting: str, draw_seed):
 
 def token_dim(setting: str, patch_size: int, channels: int) -> int:
     """Width of one model row for ``setting``: a whole patch for none and
-    rs, one quadrant mean for every setting that mixes."""
+    rs, one quadrant mean for every setting that mixes, which needs an
+    even patch_size."""
     kind, _ = parse_mode(setting)
-    side = patch_size if kind in ("none", "rs") else patch_size // 2
+    mixes = kind not in ("none", "rs")
+    if mixes and patch_size % 2:
+        raise GeometryError(f"patch size must be even to mix quadrants, got {patch_size}")
+    side = patch_size // 2 if mixes else patch_size
     return side * side * channels
 
 

@@ -14,7 +14,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import attacks, cipher, harness, imgio, pevit
-from .errors import DataError, PicryptError
+from .errors import ConfigError, DataError, PicryptError
 from .tensor import grad_check, load_checkpoint
 
 
@@ -219,10 +219,27 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint(params: dict, model: pevit.ModelConfig) -> None:
+    """ConfigError unless ``params`` has exactly the names and shapes of
+    the weights of ``model``."""
+    want = {name: t.shape for name, t in pevit.init_params(model).items()}
+    for name in sorted(set(want) | set(params)):
+        if name not in params:
+            raise ConfigError(f"checkpoint has no entry {name!r}")
+        if name not in want:
+            raise ConfigError(f"checkpoint entry {name!r} is not a weight of the model")
+        if params[name].shape != want[name]:
+            raise ConfigError(f"checkpoint entry {name!r} has shape "
+                              f"{params[name].shape}, the model needs {want[name]}")
+
+
 def _cmd_eval(args) -> int:
     spec, cfg = harness.config_specs(harness.load_config(args.config))
-    data = harness.gen_dataset(spec)
+    if spec.test_per_class == 0:
+        raise DataError("data.test_per_class = 0: no images to evaluate")
     params = load_checkpoint(args.ckpt)
+    _check_checkpoint(params, cfg.model)
+    data = harness.gen_dataset(spec)
     acc = harness.evaluate(params, cfg, data.test_x, data.test_y, seed=args.seed)
     print(f"accuracy={acc:.6f}")
     return 0

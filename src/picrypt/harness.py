@@ -26,10 +26,10 @@ from .cipher import (
     token_rows,
 )
 from .errors import ConfigError, DataError, KeyMismatchError
-from .imgio import Image, assemble, split_patches
+from .imgio import Image, assemble, grid_shape, split_patches
 from .pevit import ModelConfig
 from .rng import SplitMix64
-from .tensor import Tensor, add, backward, cross_entropy, save_checkpoint
+from .tensor import backward, cross_entropy, save_checkpoint
 
 # ten distinct bright colors, none close to white (the leakage marker is
 # the only source of exact 255/255/255 pixels)
@@ -298,12 +298,8 @@ class Adam:
 
 
 def _check_geometry(cfg: TrainConfig, images: np.ndarray) -> None:
-    size, channels = images.shape[1], images.shape[3]
-    if cfg.interval == 0 and size % cfg.patch_size:
-        raise ConfigError(
-            f"image size {size} not divisible by patch size {cfg.patch_size}"
-        )
-    want = token_dim(cfg.encryption, cfg.patch_size, channels)
+    grid_shape(images.shape[1], images.shape[2], cfg.patch_size, cfg.interval)
+    want = token_dim(cfg.encryption, cfg.patch_size, images.shape[3])
     if cfg.model.patch_dim != want:
         raise ConfigError(
             f"model patch_dim {cfg.model.patch_dim} does not match "
@@ -312,7 +308,7 @@ def _check_geometry(cfg: TrainConfig, images: np.ndarray) -> None:
 
 
 def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
-    """Train the permutation-invariant classifier; returns (params, history).
+    """Train the classifier cfg.model describes; returns (params, history).
 
     Deterministic given cfg.seed: parameter init, epoch shuffles, and all
     encryption keys come from seeded streams. history holds one row per
@@ -367,35 +363,14 @@ def evaluate(params: dict, cfg: TrainConfig, images: np.ndarray,
 
 
 def predictions(params: dict, cfg: TrainConfig, images: np.ndarray,
-                seed: int = 0, model=None) -> np.ndarray:
-    """Predicted labels per image; ``model`` overrides the forward function."""
+                seed: int = 0) -> np.ndarray:
+    """Predicted labels per image."""
     _check_geometry(cfg, images)
     rng = SplitMix64(seed)
-    fwd = pevit.forward if model is None else model
     out = np.empty(images.shape[0], dtype=np.int64)
     for i in range(images.shape[0]):
-        x = image_vectors(images[i], cfg, rng)
-        out[i] = pevit.top_class(fwd(params, cfg.model, x).data)
+        out[i] = pevit.predict(params, cfg.model, image_vectors(images[i], cfg, rng))
     return out
-
-
-# --------------------------------------------------------------------------
-# positive-control baseline: same encoder, plus learned absolute positions
-
-
-def baseline_init(cfg: ModelConfig, n_patches: int, seed: int = 0) -> dict:
-    """Classifier params with a learned positional row per token (cls + N)."""
-    params = pevit.init_params(cfg, seed=seed)
-    rng = np.random.default_rng([seed, 1])
-    params["pos"] = Tensor(rng.normal(0.0, 0.02, size=(n_patches + 1, cfg.dim)))
-    return params
-
-
-def baseline_forward(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
-    """Like pevit.forward but adds absolute positional embeddings, so the
-    logits depend on patch order."""
-    z = add(pevit.build_tokens(params, cfg, patches), params["pos"])
-    return pevit.readout(params, pevit.block_stack(params, z, cfg.depth, cfg.heads))
 
 
 # --------------------------------------------------------------------------
@@ -542,6 +517,9 @@ class SweepCell:
     def __post_init__(self):
         if not 0.0 <= self.drop_ratio < 1.0:  # also false for nan
             raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
+        if not 1 <= self.image_size <= MAX_IMAGE_SIZE:
+            raise ConfigError(f"image_size must be in 1..{MAX_IMAGE_SIZE}")
+        grid_shape(self.image_size, self.image_size, self.patch_size, self.interval)
 
 
 # sweep CSV columns and their format specs, in order; the first four are
@@ -553,30 +531,43 @@ SWEEP_COLUMNS = (
 SWEEP_HEADER = ",".join(name for name, _ in SWEEP_COLUMNS)
 
 
+def _cell_training(cell: SweepCell, train_spec: SynthSpec, train_base: TrainConfig) -> tuple:
+    """(SynthSpec, TrainConfig) of the model trained for one sweep cell."""
+    spec = dataclasses.replace(train_spec, image_size=cell.image_size)
+    pdim = token_dim(train_base.encryption, cell.patch_size, 3)
+    cfg = dataclasses.replace(
+        train_base,
+        patch_size=cell.patch_size,
+        interval=cell.interval,
+        drop_ratio=cell.drop_ratio,
+        model=dataclasses.replace(
+            train_base.model, patch_dim=pdim, n_classes=spec.classes
+        ),
+    )
+    return spec, cfg
+
+
 def sweep(cells, seed: int = 0, corpus_size: int = 20,
           train_spec: SynthSpec | None = None,
           train_base: TrainConfig | None = None) -> list:
     """Security-vs-granularity table: solver accuracy per cell, and model
-    accuracy when a training budget (spec + base config) is supplied."""
+    accuracy when a training budget (spec + base config) is supplied.
+
+    Every cell's training settings are built, and so checked, before the
+    first corpus."""
+    cells = list(cells)
+    trainings = [None] * len(cells)
+    if train_spec is not None and train_base is not None:
+        trainings = [_cell_training(cell, train_spec, train_base) for cell in cells]
     rows = []
-    for cell in cells:
+    for cell, training in zip(cells, trainings):
         corpus = gen_puzzle_corpus(corpus_size, cell.image_size, seed=seed)
         solved = solve_corpus(corpus, cell.patch_size, cell.interval,
                               cell.drop_ratio, seed=seed)
         acc = float("nan")
-        if train_spec is not None and train_base is not None:
-            spec = dataclasses.replace(train_spec, image_size=cell.image_size)
+        if training is not None:
+            spec, cfg = training
             data = gen_dataset(spec)
-            pdim = token_dim(train_base.encryption, cell.patch_size, 3)
-            cfg = dataclasses.replace(
-                train_base,
-                patch_size=cell.patch_size,
-                interval=cell.interval,
-                drop_ratio=cell.drop_ratio,
-                model=dataclasses.replace(
-                    train_base.model, patch_dim=pdim, n_classes=spec.classes
-                ),
-            )
             params, _ = train(cfg, data)
             acc = evaluate(params, cfg, data.test_x, data.test_y, seed=seed)
         values = dataclasses.astuple(cell) + (solved["direct"], solved["neighbor"], acc)

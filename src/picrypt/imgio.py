@@ -165,29 +165,36 @@ def save_ppm(img: Image, path) -> None:
         fh.write(img.pixels.tobytes())
 
 
-def split_patches(img: Image, patch_size: int, interval: int = 0) -> PatchGrid:
-    """Cut ``img`` into square patches of side ``patch_size``.
+def grid_shape(height: int, width: int, patch_size: int, interval: int) -> tuple:
+    """(rows, cols) of the patch grid that split_patches cuts from an image
+    of this size; GeometryError if the geometry admits no grid.
 
-    Patches are sampled at stride patch_size + interval starting at (0, 0);
-    pixels inside the gaps are discarded and never enter the grid. With
-    interval 0 the image sides must be exact multiples of patch_size.
+    Patches are sampled at stride patch_size + interval starting at (0, 0).
+    With interval 0 the image sides must be exact multiples of patch_size.
     """
-    h, w = img.height, img.width
     if patch_size < 2:
         raise GeometryError(f"patch_size must be >= 2, got {patch_size}")
     if interval < 0:
         raise GeometryError(f"interval must be >= 0, got {interval}")
-    if patch_size > min(h, w):
+    if patch_size > min(height, width):
         raise GeometryError(
-            f"patch_size {patch_size} exceeds image dimensions {h}x{w}"
+            f"patch_size {patch_size} exceeds image dimensions {height}x{width}"
         )
-    if interval == 0 and (h % patch_size or w % patch_size):
+    if interval == 0 and (height % patch_size or width % patch_size):
         raise GeometryError(
-            f"image {h}x{w} not divisible by patch_size {patch_size} with interval 0"
+            f"image {height}x{width} not divisible by patch_size {patch_size} with interval 0"
         )
     stride = patch_size + interval
-    rows = (h - patch_size) // stride + 1
-    cols = (w - patch_size) // stride + 1
+    return (height - patch_size) // stride + 1, (width - patch_size) // stride + 1
+
+
+def split_patches(img: Image, patch_size: int, interval: int = 0) -> PatchGrid:
+    """Cut ``img`` into square patches of side ``patch_size``, in the grid
+    that grid_shape describes; pixels inside the gaps are discarded and
+    never enter the grid.
+    """
+    rows, cols = grid_shape(img.height, img.width, patch_size, interval)
+    stride = patch_size + interval
     windows = np.lib.stride_tricks.sliding_window_view(
         img.pixels, (patch_size, patch_size), axis=(0, 1)
     )[::stride, ::stride]

@@ -1,4 +1,5 @@
-"""Transformer classifier over patch vectors with no positional encoding.
+"""Transformer classifier over patch vectors; no positional encoding unless
+ModelConfig.positions asks for the positional control.
 
 Without absolute position information every encoder block is equivariant
 to the order of the patch tokens, and the class-token readout is therefore
@@ -50,12 +51,15 @@ class ModelConfig:
     n_classes: int = 10
     rpe: bool = False
     rpe_hidden: int = 64
+    positions: int = 0      # learned absolute position rows, one per token; 0 = none
 
     def __post_init__(self):
         for field in ("patch_dim", "dim", "depth", "heads", "ffn_dim", "n_classes",
                       "rpe_hidden"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be >= 1")
+        if self.positions < 0:
+            raise ConfigError(f"positions must be >= 0, got {self.positions}")
         if self.dim % self.heads != 0:
             raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.n_weights > MAX_MODEL_FLOATS:
@@ -68,7 +72,8 @@ class ModelConfig:
         d, f, h = self.dim, self.ffn_dim, self.rpe_hidden
         return (self.patch_dim * d + 2 * d + (d + 1) * self.n_classes
                 + self.depth * (4 * d * d + 2 * d * f + f + 5 * d)
-                + self.rpe * (self.patch_dim * (1 + h) + h * (1 + d) + d))
+                + self.rpe * (self.patch_dim * (1 + h) + h * (1 + d) + d)
+                + self.positions * d)
 
     @property
     def head_dim(self) -> int:
@@ -80,7 +85,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
 
     Names: embed.w/b, cls, layer{i}.ln1.gamma|beta, layer{i}.attn.h{j}.wq|wk|wv,
     layer{i}.attn.wo, layer{i}.ln2.gamma|beta, layer{i}.ffn.w1|b1|w2|b2,
-    head.w/b, and rpe.w1|b1|w2|b2|ref when cfg.rpe is set.
+    head.w/b, rpe.w1|b1|w2|b2|ref when cfg.rpe is set, and pos when cfg.positions is.
     """
     rng = np.random.default_rng(seed)
     sd = 0.02
@@ -118,6 +123,9 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
         p[f"{pre}.ffn.b1"] = zeros(1, cfg.ffn_dim)
         p[f"{pre}.ffn.w2"] = w(cfg.ffn_dim, cfg.dim)
         p[f"{pre}.ffn.b2"] = zeros(1, cfg.dim)
+    if cfg.positions:
+        pos_rng = np.random.default_rng([seed, 1])
+        p["pos"] = Tensor(pos_rng.normal(0.0, sd, size=(cfg.positions, cfg.dim)))
     return p
 
 
@@ -158,34 +166,22 @@ def rpe(params: dict, x: Tensor) -> Tensor:
 
 def build_tokens(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
     """Token matrix (N+1, D): the class row on top of the embedded (N, patch_dim)
-    patches, plus their rpe features when cfg.rpe is set."""
+    patches, plus their rpe features when cfg.rpe is set and the pos rows when
+    cfg.positions is (a "pos" entry in params is ignored under positions 0)."""
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2 or patches.shape[1] != cfg.patch_dim:
         raise ShapeError(
             f"expected patch matrix (N, {cfg.patch_dim}), got {patches.shape}"
         )
+    # add would broadcast a single pos row over every token
+    if cfg.positions and len(patches) + 1 != cfg.positions:
+        raise ShapeError(f"{len(patches) + 1} tokens for {cfg.positions} position rows")
     x = Tensor(patches)
     emb = add(matmul(x, params["embed.w"]), params["embed.b"])
     if cfg.rpe:
         emb = add(emb, rpe(params, x))
-    return concat_rows([params["cls"], emb])
-
-
-def block_stack(params: dict, z: Tensor, depth: int, heads: int,
-                trace: dict | None = None) -> Tensor:
-    """Run blocks layer0 .. layer{depth-1} over the token matrix z. A dict
-    ``trace`` receives "tokens" (z and each block's output) and "attn" (per
-    block, the per-head attention weights), as numpy copies."""
-    if trace is not None:
-        trace["tokens"] = [z.data.copy()]
-        trace["attn"] = []
-    for i in range(depth):
-        attn_trace = [] if trace is not None else None
-        z = encoder_block(params, f"layer{i}", z, heads, trace=attn_trace)
-        if trace is not None:
-            trace["tokens"].append(z.data.copy())
-            trace["attn"].append(attn_trace)
-    return z
+    z = concat_rows([params["cls"], emb])
+    return add(z, params["pos"]) if cfg.positions else z
 
 
 def readout(params: dict, z: Tensor) -> Tensor:
@@ -197,10 +193,21 @@ def readout(params: dict, z: Tensor) -> Tensor:
 
 
 def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | None = None) -> Tensor:
-    """Run the encoder stack; returns the (N+1, D) token matrix after depth
-    blocks. ``trace`` is filled as block_stack describes."""
-    return block_stack(params, build_tokens(params, cfg, patches),
-                       cfg.depth, cfg.heads, trace=trace)
+    """Run blocks layer0 .. layer{depth-1} over build_tokens; returns the
+    (N+1, D) token matrix. A dict ``trace`` receives "tokens" (the block
+    input and each block's output) and "attn" (per block, the per-head
+    attention weights), as numpy copies."""
+    z = build_tokens(params, cfg, patches)
+    if trace is not None:
+        trace["tokens"] = [z.data.copy()]
+        trace["attn"] = []
+    for i in range(cfg.depth):
+        attn_trace = [] if trace is not None else None
+        z = encoder_block(params, f"layer{i}", z, cfg.heads, trace=attn_trace)
+        if trace is not None:
+            trace["tokens"].append(z.data.copy())
+            trace["attn"].append(attn_trace)
+    return z
 
 
 def forward(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:

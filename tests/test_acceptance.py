@@ -31,8 +31,6 @@ from picrypt.cipher import (
 from picrypt.harness import (
     SynthSpec,
     TrainConfig,
-    baseline_forward,
-    baseline_init,
     gen_dataset,
     gen_puzzle_corpus,
     gradleak_demo,
@@ -220,15 +218,16 @@ def test_criterion_07_positional_baseline_positive_control():
                      test_per_class=3, seed=3)
     data = gen_dataset(spec)
     model = ModelConfig(patch_dim=16 * 16 * 3, dim=32, depth=2, heads=2,
-                        ffn_dim=64, n_classes=10)
-    cfg = TrainConfig(model=model, epochs=1, encryption="rs", patch_size=16,
-                      seed=0)
-    base_params = baseline_init(model, n_patches=16, seed=0)
+                        ffn_dim=64, n_classes=10, positions=17)
+    base_params = init_params(model, seed=0)
 
+    # the invariant control reads the same params, "pos" included
     flips = {}
-    for fwd, name in ((baseline_forward, "baseline"), (None, "invariant")):
-        a = predictions(base_params, cfg, data.test_x, seed=11, model=fwd)
-        b = predictions(base_params, cfg, data.test_x, seed=97, model=fwd)
+    for positions, name in ((17, "baseline"), (0, "invariant")):
+        cfg = TrainConfig(model=dataclasses.replace(model, positions=positions),
+                          epochs=1, encryption="rs", patch_size=16, seed=0)
+        a = predictions(base_params, cfg, data.test_x, seed=11)
+        b = predictions(base_params, cfg, data.test_x, seed=97)
         flips[name] = int((a != b).sum())
     assert flips["baseline"] >= 1, "positional baseline never changed its mind"
     assert flips["invariant"] == 0, "control broken: invariant model flipped"

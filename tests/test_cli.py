@@ -32,6 +32,16 @@ def no_drawing(monkeypatch):
     monkeypatch.setattr(picrypt.harness, "_bilinear_upsample", drew)
 
 
+def counted(monkeypatch, *names):
+    """Record the calls of the named harness functions; they still run."""
+    calls = []
+    for name in names:
+        real = getattr(picrypt.harness, name)
+        monkeypatch.setattr(picrypt.harness, name,
+                            lambda *a, _n=name, _f=real, **k: calls.append(_n) or _f(*a, **k))
+    return calls
+
+
 def allocated(*args, **kwargs):
     raise AssertionError("model weights were allocated")
 
@@ -328,6 +338,31 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault,want", [
+    ("missing", "no entry 'embed.w'"),
+    ("shape", "'cls' has shape (2, 16)"),
+    ("extra", "'extra' is not a weight"),
+    ("pos", "'pos' is not a weight"),
+], ids=["missing", "shape", "extra", "pos"])
+def test_eval_checkpoint_must_match_model(monkeypatch, tmp_path, capsys, fault, want):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    _, train_cfg = picrypt.harness.config_specs(picrypt.harness.parse_config_text(TINY_CFG))
+    params = picrypt.pevit.init_params(train_cfg.model)
+    if fault == "missing":
+        del params["embed.w"]
+    elif fault == "shape":
+        params["cls"] = Tensor(np.zeros((2, 16)))
+    else:
+        params[fault] = Tensor(np.zeros((5, 16)))
+    ckpt = tmp_path / "bad.petn"
+    save_checkpoint(ckpt, params)
+    calls = counted(monkeypatch, "gen_dataset")
+    assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
+    assert want in capsys.readouterr().err
+    assert calls == []
+
+
 def test_eval_nan_weight_is_data_error(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CFG)
@@ -394,6 +429,18 @@ def test_train_model_above_bound_is_config_error(monkeypatch, tmp_path, capsys):
     ckpt = tmp_path / "m.petn"
     assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
     assert "MAX_MODEL_FLOATS" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_mixing_odd_patch_is_geometry_error(monkeypatch, tmp_path, capsys):
+    calls = counted(monkeypatch, "gen_dataset")
+    cfg = tmp_path / "odd.cfg"
+    cfg.write_text(TINY_CFG.replace("enc.mode = rs", "enc.mode = mi")
+                   .replace("enc.patch_size = 16", "enc.patch_size = 15"))
+    ckpt = tmp_path / "m.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+    assert "patch size must be even" in capsys.readouterr().err
+    assert calls == []
     assert not ckpt.exists()
 
 
@@ -500,6 +547,29 @@ def test_sweep_drop_outside_unit_interval_is_config_error(monkeypatch, tmp_path,
                 "--out", str(dest)]) == 2
     assert "drop_ratio must be in [0, 1)" in capsys.readouterr().err
     assert not dest.exists()
+
+
+@pytest.mark.parametrize("flag,values,want", [
+    ("--patch", "16,0", "patch_size must be >= 2"),
+    ("--interval", "0,-1", "interval must be >= 0"),
+    ("--patch", "16,100", "exceeds image dimensions"),
+    ("--patch", "16,24", "not divisible"),
+], ids=["patch0", "interval-1", "patch100", "patch24"])
+def test_sweep_bad_geometry_exits_before_any_corpus(monkeypatch, capsys, flag, values, want):
+    calls = counted(monkeypatch, "gen_puzzle_corpus")
+    assert run(["sweep", flag, values, "--image-size", "64", "--images", "2"]) == 2
+    assert want in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_train_config_checked_before_any_corpus(monkeypatch, tmp_path, capsys):
+    calls = counted(monkeypatch, "gen_puzzle_corpus", "gen_dataset")
+    cfg = tmp_path / "mi.cfg"
+    cfg.write_text(TINY_CFG.replace("enc.mode = rs", "enc.mode = mi"))
+    assert run(["sweep", "--drop", "0.0,0.1", "--image-size", "64", "--images", "2",
+                "--train-config", str(cfg)]) == 2
+    assert "drop_ratio is only supported" in capsys.readouterr().err
+    assert calls == []
 
 
 # ---------------------------------------------------------------- gradcheck

@@ -14,7 +14,7 @@ import picrypt.harness
 import picrypt.pevit as pevit
 from picrypt.attacks import puzzle_metrics
 from picrypt.cipher import MODES, gen_key, rs_encrypt, token_dim
-from picrypt.errors import ConfigError, DataError, KeyMismatchError
+from picrypt.errors import ConfigError, DataError, GeometryError, KeyMismatchError
 from picrypt.harness import (
     MARKER_SIZE,
     MAX_CORPUS_BYTES,
@@ -24,8 +24,6 @@ from picrypt.harness import (
     SweepCell,
     SynthSpec,
     TrainConfig,
-    baseline_forward,
-    baseline_init,
     config_specs,
     evaluate,
     gen_dataset,
@@ -182,6 +180,13 @@ def test_token_dim():
     assert token_dim("spn:2", 16, 3) == 192
 
 
+def test_token_dim_rejects_odd_patch_for_mixing():
+    assert token_dim("none", 15, 3) == token_dim("rs", 15, 3) == 675
+    for mode in ("mi", "rs+mi", "mi+rs", "spn:2"):
+        with pytest.raises(GeometryError, match="even"):
+            token_dim(mode, 15, 3)
+
+
 # ---------------------------------------------------------------- vectors
 
 
@@ -232,7 +237,7 @@ def test_geometry_checked_before_training():
     spec = SynthSpec(image_size=40, classes=2, train_per_class=1,
                      test_per_class=0, seed=0)
     d = gen_dataset(spec)
-    with pytest.raises(ConfigError, match="divisible"):
+    with pytest.raises(GeometryError, match="divisible"):
         train(tiny_cfg(), d)
     spec2 = SynthSpec(image_size=32, classes=2, train_per_class=1,
                       test_per_class=0, seed=0)
@@ -396,23 +401,42 @@ def test_accuracy_identical_across_shuffle_seeds():
 
 
 def test_baseline_has_positional_rows():
-    model = dataclasses.replace(TINY_MODEL, n_classes=10)
-    p = baseline_init(model, n_patches=4, seed=0)
+    model = dataclasses.replace(TINY_MODEL, n_classes=10, positions=5)
+    p = pevit.init_params(model, seed=0)
     assert p["pos"].shape == (5, 16)
     rng = np.random.default_rng(4)
     x = rng.random((4, 768))
-    out = baseline_forward(p, model, x)
+    out = pevit.forward(p, model, x)
     assert out.data.shape == (1, 10)
 
 
 def test_baseline_sensitive_to_patch_order():
-    model = dataclasses.replace(TINY_MODEL, n_classes=10)
-    p = baseline_init(model, n_patches=4, seed=0)
+    model = dataclasses.replace(TINY_MODEL, n_classes=10, positions=5)
+    p = pevit.init_params(model, seed=0)
     rng = np.random.default_rng(5)
     x = rng.random((4, 768))
-    a = baseline_forward(p, model, x).data
-    b = baseline_forward(p, model, x[[1, 0, 3, 2]]).data
+    a = pevit.forward(p, model, x).data
+    b = pevit.forward(p, model, x[[1, 0, 3, 2]]).data
     assert np.max(np.abs(a - b)) > 1e-6
+
+
+def test_train_positional_model():
+    # train fits the pos rows of a positional config, and the trained model
+    # depends on patch order; the same params under positions 0 do not
+    spec = SynthSpec(image_size=32, classes=4, train_per_class=3,
+                     test_per_class=2, seed=0)
+    d = gen_dataset(spec)
+    model = dataclasses.replace(TINY_MODEL, positions=5)
+    cfg = tiny_cfg(model=model, epochs=2)
+    params, history = train(cfg, d)
+    assert np.isfinite(history[-1]["loss"])
+    assert not np.array_equal(params["pos"].data,
+                              pevit.init_params(model, seed=0)["pos"].data)
+    for positions in (5, 0):
+        m = dataclasses.replace(model, positions=positions)
+        a, b = (np.array([pevit.forward(params, m, image_vectors(img, cfg, SplitMix64(s))).data
+                          for img in d.test_x]) for s in (11, 97))
+        assert (np.max(np.abs(a - b)) > 1e-9) == bool(positions), positions
 
 
 # ---------------------------------------------------------------- gradleak
@@ -563,6 +587,15 @@ def test_puzzle_corpus_bound_before_any_image(monkeypatch):
 def test_sweep_cell_rejects_drop_outside_unit_interval(drop):
     with pytest.raises(ConfigError, match="drop_ratio"):
         SweepCell(patch_size=16, drop_ratio=drop)
+
+
+@pytest.mark.parametrize("patch,interval,match", [
+    (0, 0, "patch_size must be >= 2"), (16, -1, "interval must be >= 0"),
+    (100, 0, "exceeds image dimensions"), (24, 0, "not divisible"),
+], ids=["patch0", "interval-1", "patch100", "patch24"])
+def test_sweep_cell_rejects_bad_geometry(patch, interval, match):
+    with pytest.raises(GeometryError, match=match):
+        SweepCell(patch_size=patch, interval=interval, image_size=64)
 
 
 def test_sweep_rows_and_csv():

@@ -20,8 +20,6 @@ from picrypt import pevit
 from picrypt.harness import (
     SynthSpec,
     TrainConfig,
-    baseline_forward,
-    baseline_init,
     evaluate,
     gen_dataset,
     predictions,
@@ -69,8 +67,9 @@ def encode_trace():
 
 
 def baseline_logits():
-    params = baseline_init(MODEL, n_patches=16, seed=3)
-    return digest(baseline_forward(params, MODEL, patches(seed=3)).data)
+    cfg = dataclasses.replace(MODEL, positions=17)
+    params = pevit.init_params(cfg, seed=3)
+    return digest(pevit.forward(params, cfg, patches(seed=3)).data)
 
 
 def train_cfg(batch):
@@ -96,7 +95,7 @@ def test_encode_trace_tokens_and_attention():
     assert encode_trace() == {"tokens": "bccf02976462a3b4", "attn": "48e6154f6e14cf5d"}
 
 
-def test_baseline_forward_logits():
+def test_positional_baseline_logits():
     assert baseline_logits() == "aff80ac707224ce7"
 
 

@@ -1,5 +1,7 @@
 """Tests for the shuffle-invariant transformer classifier."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -79,12 +81,20 @@ def test_config_rejects_zero_heads_and_rpe_hidden(field, value):
         ModelConfig(patch_dim=12, rpe=True, **{field: value})
 
 
+def test_config_rejects_negative_positions():
+    assert ModelConfig(patch_dim=12, positions=0).positions == 0
+    with pytest.raises(ConfigError, match="positions must be >= 0"):
+        ModelConfig(patch_dim=12, positions=-1)
+
+
 @pytest.mark.parametrize("rpe", [False, True])
 def test_config_weight_count_covers_init_params(rpe):
     for cfg in (ModelConfig(patch_dim=768, rpe=rpe),
                 ModelConfig(patch_dim=5, dim=6, depth=3, heads=3, ffn_dim=7,
-                            n_classes=9, rpe=rpe, rpe_hidden=2)):
-        assert cfg.n_weights >= sum(p.data.size for p in init_params(cfg).values())
+                            n_classes=9, rpe=rpe, rpe_hidden=2),
+                ModelConfig(patch_dim=5, dim=6, depth=3, heads=3, ffn_dim=7,
+                            n_classes=9, rpe=rpe, rpe_hidden=2, positions=11)):
+        assert cfg.n_weights == sum(p.data.size for p in init_params(cfg).values())
 
 
 def test_config_rejects_weights_above_bound():
@@ -293,6 +303,28 @@ def test_forward_rejects_wrong_patch_dim():
     p = init_params(CFG, seed=13)
     with pytest.raises(ShapeError):
         forward(p, CFG, np.zeros((4, 13)))
+
+
+def test_positions_must_match_token_count():
+    # one pos row would broadcast over all tokens; the count is checked instead
+    x = np.random.default_rng(16).random((4, 12))
+    for positions in (1, 4, 6):
+        cfg = dataclasses.replace(CFG, positions=positions)
+        with pytest.raises(ShapeError, match="position rows"):
+            forward(init_params(cfg, seed=16), cfg, x)
+    cfg = dataclasses.replace(CFG, positions=5)
+    assert forward(init_params(cfg, seed=16), cfg, x).data.shape == (1, 4)
+
+
+def test_pos_is_drawn_apart_and_ignored_without_positions():
+    # pos comes from its own stream, so every other weight keeps its bits,
+    # and a positions-0 model reads such params as the invariant model
+    p = init_params(dataclasses.replace(CFG, positions=10), seed=17)
+    p0 = init_params(CFG, seed=17)
+    assert set(p) - set(p0) == {"pos"} and p["pos"].shape == (10, 16)
+    assert all(np.array_equal(p0[name].data, p[name].data) for name in p0)
+    x = np.random.default_rng(17).random((9, 12))
+    assert np.array_equal(forward(p, CFG, x).data, forward(p0, CFG, x).data)
 
 
 def test_forward_shuffle_invariant_quick():
