@@ -56,22 +56,6 @@ def _norm_patch(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def edge_dissimilarity(a, b, relation: str) -> float:
-    """Boundary SSD across the seam between two patches, pixels in [0, 1].
-
-    relation "right": b sits right of a (a's last column vs b's first);
-    relation "below": b sits below a (a's last row vs b's first row).
-    The value is the [0, 1] entry of ``seam_tables`` over the pair.
-    """
-    pa, pb = _norm_patch(a), _norm_patch(b)
-    if pa.shape != pb.shape:
-        raise ShapeError(f"patch shapes differ: {pa.shape} vs {pb.shape}")
-    if relation not in ("right", "below"):
-        raise ValueError(f"unknown relation {relation!r}")
-    d_right, d_below = seam_tables(np.stack([pa, pb]))
-    return float((d_right if relation == "right" else d_below)[0, 1])
-
-
 # rows of the seam tables filled per step: bounds the (rows, n, edge)
 # difference temporary at about 19 MB for 3136 patches of side 4
 _TABLE_BLOCK = 64

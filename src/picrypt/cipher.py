@@ -327,8 +327,12 @@ def save_key(key: PermutationKey, path) -> None:
 
 def load_key(path) -> PermutationKey:
     """Read a key file, verifying the permutation against its (seed, n)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise KeyMismatchError(
+            f"key file is not ASCII: byte {exc.object[exc.start]:#04x}") from None
     if not lines or lines[0] != KEY_MAGIC:
         raise KeyMismatchError(f"bad key file magic: {lines[0] if lines else '<empty>'!r}")
     fields = {}

@@ -298,12 +298,20 @@ class Adam:
 
 
 def _check_geometry(cfg: TrainConfig, images: np.ndarray) -> None:
-    grid_shape(images.shape[1], images.shape[2], cfg.patch_size, cfg.interval)
+    rows, cols = grid_shape(images.shape[1], images.shape[2], cfg.patch_size, cfg.interval)
     want = token_dim(cfg.encryption, cfg.patch_size, images.shape[3])
     if cfg.model.patch_dim != want:
         raise ConfigError(
             f"model patch_dim {cfg.model.patch_dim} does not match "
             f"{want} for encryption {cfg.encryption!r}"
+        )
+    # the class row, then one token per patch that drop_patches keeps
+    n = rows * cols
+    tokens = n - int(cfg.drop_ratio * n) + 1
+    if cfg.model.positions and cfg.model.positions != tokens:
+        raise ConfigError(
+            f"model positions {cfg.model.positions} does not match the {tokens} "
+            f"tokens of a {rows}x{cols} grid at drop_ratio {cfg.drop_ratio}"
         )
 
 

@@ -361,6 +361,8 @@ def grad_check(f, params, tolerance: float = 1e-4,
 
 CHECKPOINT_MAGIC = b"PETN"
 CHECKPOINT_VERSION = 1
+# most dimensions of a checkpoint entry: numpy 1.x's limit (numpy 2 allows 64)
+MAX_CHECKPOINT_RANK = 32
 
 
 def save_checkpoint(path, params) -> None:
@@ -387,8 +389,8 @@ def save_checkpoint(path, params) -> None:
 def load_checkpoint(path) -> dict:
     """Read a checkpoint back as a name -> Tensor dict.
 
-    A file cut short anywhere (header, name, dims or payload) raises
-    ShapeError.
+    A file cut short anywhere (header, name, dims or payload), a name that
+    is not UTF-8 or a rank above MAX_CHECKPOINT_RANK raises ShapeError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -414,8 +416,13 @@ def load_checkpoint(path) -> dict:
     for _ in range(count):
         (nlen,) = struct.unpack_from("<H", blob, advance(2, "name length"))
         at = advance(nlen, "name")
-        name = blob[at : at + nlen].decode("utf-8")
+        try:
+            name = blob[at : at + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ShapeError(f"checkpoint entry name at offset {at} is not UTF-8") from None
         (rank,) = struct.unpack_from("<I", blob, advance(4, "rank"))
+        if rank > MAX_CHECKPOINT_RANK:
+            raise ShapeError(f"entry {name!r} has rank {rank}, above {MAX_CHECKPOINT_RANK}")
         dims = struct.unpack_from(f"<{rank}Q", blob, advance(8 * rank, "dims"))
         size = math.prod(dims)
         at = advance(8 * size, "data")

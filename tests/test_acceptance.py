@@ -14,11 +14,11 @@ import numpy as np
 
 import picrypt.pevit as pevit
 from picrypt.attacks import (
-    edge_dissimilarity,
     grad_leak_invert,
     jigsaw_solve,
     mi_collision,
     puzzle_metrics,
+    seam_tables,
 )
 from picrypt.cipher import (
     gen_key,
@@ -40,7 +40,6 @@ from picrypt.harness import (
     truth_for_key,
 )
 from picrypt.imgio import Image, split_patches, split_subpatches
-from picrypt.mipembed import init_mi_embed, mi_patch_embed
 from picrypt.pevit import ModelConfig, encoder_block, forward, init_params, msa
 from picrypt.tensor import Tensor, add, gelu, grad_check, layer_norm, matmul
 
@@ -173,20 +172,17 @@ def test_criterion_04_cipher_roundtrip_and_keyspace():
 
 
 def test_criterion_05_mi_embedding_identity_1000_patches():
-    """embed(mean of subs) == mean of first-layer projections, then the rest."""
-    sub_dim = token_dim("mi", 8, 3)
-    params = init_mi_embed(sub_dim, 32, seed=6)
+    """The classifier's embedding of a mixed patch (the mean of its four
+    sub-patches) equals the mean of the sub-patches' embeddings."""
+    cfg = ModelConfig(patch_dim=token_dim("mi", 8, 3), dim=32, depth=1, heads=2,
+                      ffn_dim=32, n_classes=10)
+    params = init_params(cfg, seed=6)
     rng = np.random.default_rng(6)
-    w1, b1 = params["mi.w1"], params["mi.b1"]
-    w2, b2 = params["mi.w2"], params["mi.b2"]
-    worst = 0.0
-    for _ in range(1000):
-        subs = rng.random((4, sub_dim))
-        direct = mi_patch_embed(params, subs.mean(axis=0)).data
-        proj = (subs @ w1.data).mean(axis=0, keepdims=True)
-        h = gelu(add(Tensor(proj), b1))
-        alt = add(matmul(h, w2), b2).data
-        worst = max(worst, float(np.max(np.abs(direct - alt))))
+    subs = rng.random((1000, 4, cfg.patch_dim))
+    # row 0 is the class token; rows 1.. embed the mixed patches
+    direct = pevit.build_tokens(params, cfg, subs.mean(axis=1)).data[1:]
+    alt = (subs @ params["embed.w"].data).mean(axis=1) + params["embed.b"].data
+    worst = float(np.max(np.abs(direct - alt)))
     assert worst < 1e-12, f"mixing/embedding identity broken: {worst:.3e}"
 
 
@@ -239,10 +235,7 @@ def test_criterion_08_jigsaw_attack_asymmetry():
 
     def brute_force_optimum(patches, rows, cols):
         n = len(patches)
-        d_right = [[edge_dissimilarity(a, b, "right") if a is not b else
-                    float("inf") for b in patches] for a in patches]
-        d_below = [[edge_dissimilarity(a, b, "below") if a is not b else
-                    float("inf") for b in patches] for a in patches]
+        d_right, d_below = (t.tolist() for t in seam_tables(np.stack(patches) / 255.0))
         best, second = None, None
         best_order = None
         for order in itertools.permutations(range(n)):

@@ -13,7 +13,6 @@ from picrypt.attacks import (
     MAX_SOLVE_PATCHES,
     Arrangement,
     dump_arrangement,
-    edge_dissimilarity,
     grad_leak_invert,
     jigsaw_solve,
     mi_collision,
@@ -92,7 +91,13 @@ def test_identity_arrangement_row_major():
 # ---------------------------------------------------------------- edges
 
 
-def test_edge_dissimilarity_matches_naive_loop():
+def seam_pair(a, b):
+    """(right, below) seam costs of b right of a and b below a, on [0, 1] pixels."""
+    d_right, d_below = seam_tables(np.stack([a, b]) / 255.0)
+    return d_right[0, 1], d_below[0, 1]
+
+
+def test_seam_tables_match_naive_loop():
     rng = np.random.default_rng(0)
     a = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
     b = rng.integers(0, 256, size=(6, 6, 3), dtype=np.uint8)
@@ -102,24 +107,18 @@ def test_edge_dissimilarity_matches_naive_loop():
         for ch in range(3):
             want_r += ((int(a[i, 5, ch]) - int(b[i, 0, ch])) / 255.0) ** 2
             want_b += ((int(a[5, i, ch]) - int(b[0, i, ch])) / 255.0) ** 2
-    assert abs(edge_dissimilarity(a, b, "right") - want_r) < 1e-12
-    assert abs(edge_dissimilarity(a, b, "below") - want_b) < 1e-12
+    got_r, got_b = seam_pair(a, b)
+    assert abs(got_r - want_r) < 1e-12
+    assert abs(got_b - want_b) < 1e-12
 
 
-def test_edge_dissimilarity_constants():
+def test_seam_tables_constants():
     z = np.zeros((4, 4, 1), dtype=np.uint8)
     f = np.full((4, 4, 1), 255, dtype=np.uint8)
-    assert edge_dissimilarity(z, z, "right") == 0.0
-    assert abs(edge_dissimilarity(z, f, "right") - 4.0) < 1e-12
-    assert abs(edge_dissimilarity(z, f, "below") - 4.0) < 1e-12
-
-
-def test_edge_dissimilarity_validates_inputs():
-    z = np.zeros((4, 4, 1), dtype=np.uint8)
-    with pytest.raises(ValueError):
-        edge_dissimilarity(z, z, "diagonal")
-    with pytest.raises(ShapeError):
-        edge_dissimilarity(z, np.zeros((5, 5, 1), dtype=np.uint8), "right")
+    assert seam_pair(z, z)[0] == 0.0
+    got_r, got_b = seam_pair(z, f)
+    assert abs(got_r - 4.0) < 1e-12
+    assert abs(got_b - 4.0) < 1e-12
 
 
 # ---------------------------------------------------------------- solver
@@ -162,12 +161,14 @@ def test_jigsaw_brute_force_2x2():
     pixels = smooth_image(16, seed=1)
     patches = patches_of(pixels, 8)
 
+    d_right, d_below = seam_tables(np.stack(patches) / 255.0)
+
     def total_cost(order):
         # order[slot] = patch; slots row-major in a 2x2 grid
-        c = edge_dissimilarity(patches[order[0]], patches[order[1]], "right")
-        c += edge_dissimilarity(patches[order[2]], patches[order[3]], "right")
-        c += edge_dissimilarity(patches[order[0]], patches[order[2]], "below")
-        c += edge_dissimilarity(patches[order[1]], patches[order[3]], "below")
+        c = d_right[order[0], order[1]]
+        c += d_right[order[2], order[3]]
+        c += d_below[order[0], order[2]]
+        c += d_below[order[1], order[3]]
         return c
 
     costs = {o: total_cost(o) for o in itertools.permutations(range(4))}

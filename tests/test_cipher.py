@@ -24,6 +24,8 @@ from picrypt.cipher import (
     rs_decrypt,
     save_key,
     spn_encrypt,
+    token_dim,
+    token_rows,
 )
 from picrypt.errors import ConfigError, GeometryError, KeyMismatchError, PicryptError
 from picrypt.imgio import Image, PatchGrid, split_patches, split_subpatches
@@ -301,6 +303,13 @@ def test_mixed_patch_tiles_its_quadrant():
         assert np.array_equal(p[h:, h:], v)
 
 
+def test_token_rows_of_mixed_grid_shape_and_range():
+    rng = np.random.default_rng(4)
+    v = token_rows(mi_encrypt(rand_grid(rng, rows=2, cols=2, ps=8)))
+    assert v.shape == (4, token_dim("mi", 8, 3))
+    assert v.min() >= 0.0 and v.max() <= 1.0
+
+
 def test_mixed_grid_checks_patch_array_shape():
     ok = MixedGrid(rows=1, cols=2, patch_size=4, channels=3,
                    patches=np.zeros((2, 2, 2, 3)))
@@ -552,6 +561,13 @@ def test_key_file_rejects_out_of_range_seed(tmp_path, seed):
     path = tmp_path / "k.key"
     path.write_text(f"{KEY_MAGIC}\nn=3\nseed={seed}\nperm=0,1,2\n")
     with pytest.raises(KeyMismatchError, match="seed"):
+        load_key(path)
+
+
+def test_key_file_rejects_non_ascii_byte(tmp_path):
+    path = tmp_path / "k.key"
+    path.write_bytes(f"{KEY_MAGIC}\nn=1\nseed=0\nperm=0\xff\n".encode("latin-1"))
+    with pytest.raises(KeyMismatchError, match="not ASCII"):
         load_key(path)
 
 

@@ -216,7 +216,7 @@ def test_image_vectors_match_golden():
     assert token_digests() == GOLDEN_TOKENS
 
 
-def test_mipembed_grid_vectors_match_golden():
+def test_mixed_token_rows_match_golden():
     assert grid_vector_digests() == GOLDEN_GRID_VECTORS
 
 

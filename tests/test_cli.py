@@ -1,6 +1,7 @@
 """Tests for the command-line front end: verbs, formats, exit codes."""
 
 import math
+import struct
 from decimal import Decimal
 
 import numpy as np
@@ -14,7 +15,7 @@ from picrypt.errors import ConfigError
 from picrypt.harness import TrainConfig
 from picrypt.imgio import Image, load_ppm, save_ppm
 from picrypt.pevit import ModelConfig
-from picrypt.tensor import Tensor, load_checkpoint, save_checkpoint
+from picrypt.tensor import CHECKPOINT_MAGIC, Tensor, load_checkpoint, save_checkpoint
 
 TINY_CFG = (
     "data.image_size = 32\ndata.classes = 2\ndata.train_per_class = 2\n"
@@ -197,6 +198,16 @@ def test_decrypt_key_seed_out_of_range_is_key_error(tmp_path, capsys, seed):
     assert f"got {seed}" in capsys.readouterr().err
 
 
+def test_decrypt_non_ascii_key_is_key_error(tmp_path, capsys):
+    write_image(tmp_path / "a.ppm", seed=6)
+    (tmp_path / "k.key").write_bytes(
+        f"{picrypt.cipher.KEY_MAGIC}\nn=16\nseed=0\nperm=\xff\n".encode("latin-1"))
+    assert run(["decrypt", "--in", str(tmp_path / "a.ppm"),
+                "--out", str(tmp_path / "d.ppm"), "--patch", "8",
+                "--key", str(tmp_path / "k.key")]) == 2
+    assert "key file is not ASCII" in capsys.readouterr().err
+
+
 def test_encrypt_none_copies_canonically(tmp_path):
     px = write_image(tmp_path / "a.ppm", seed=2)
     assert run(["encrypt", "--mode", "none", "--in", str(tmp_path / "a.ppm"),
@@ -336,6 +347,21 @@ def test_eval_truncated_checkpoint_is_data_error(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[:20])
     assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,rank,want", [
+    (b"w\xff", 2, "not UTF-8"),
+    (b"w", 65, "rank 65"),
+], ids=["name", "rank"])
+def test_eval_undecodable_checkpoint_is_shape_error(tmp_path, capsys, name, rank, want):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CFG)
+    ckpt = tmp_path / "bad.petn"
+    ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, len(name)) + name
+                     + struct.pack(f"<I{rank}Q", rank, *(1,) * rank)
+                     + struct.pack("<d", 0.0))
+    assert run(["eval", "--config", str(cfg), "--ckpt", str(ckpt)]) == 2
+    assert want in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fault,want", [

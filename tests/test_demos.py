@@ -1,5 +1,7 @@
-"""Smoke tests: every demo script runs, and the package's public names resolve."""
+"""Smoke tests: every demo script runs, the package's public names resolve,
+and every package module has a caller inside the package."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import picrypt
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+PACKAGE = ROOT / "src" / "picrypt"
 
 
 def test_public_names_resolve():
@@ -28,3 +31,25 @@ def test_demo_runs(demo, tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
     assert list(tmp_path.iterdir()) == []
+
+
+def imported_modules(path):
+    """Names of the package modules that the module at ``path`` imports;
+    the package imports its own modules relatively."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # "from .x import y" names x; "from . import x, y" names x and y
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def test_every_module_has_a_caller_in_the_package():
+    modules = {p.stem: p for p in PACKAGE.glob("*.py")}
+    callers = {name: set() for name in modules}
+    for name, path in modules.items():
+        for used in imported_modules(path) & modules.keys() - {name}:
+            callers[used].add(name)
+    orphans = [name for name, who in sorted(callers.items())
+               if not who and name not in ("__init__", "cli")]
+    assert orphans == []

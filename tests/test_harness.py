@@ -439,6 +439,32 @@ def test_train_positional_model():
         assert (np.max(np.abs(a - b)) > 1e-9) == bool(positions), positions
 
 
+@pytest.mark.parametrize("positions,drop_ratio,tokens", [(5, 0.0, 17), (17, 0.1, 16)])
+def test_positions_checked_before_any_weight(monkeypatch, positions, drop_ratio, tokens):
+    # 64^2 at P=16 is 16 patches; a drop ratio of 0.1 leaves 15, plus the class row
+    d = gen_dataset(SynthSpec(image_size=64, classes=4, train_per_class=1,
+                              test_per_class=1, seed=0))
+    cfg = tiny_cfg(model=dataclasses.replace(TINY_MODEL, positions=positions),
+                   drop_ratio=drop_ratio, epochs=1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the model ran")
+
+    monkeypatch.setattr(pevit, "init_params", refuse)
+    monkeypatch.setattr(pevit, "predict", refuse)
+    want = f"positions {positions} does not match the {tokens} tokens"
+    with pytest.raises(ConfigError, match=want):
+        train(cfg, d)
+    with pytest.raises(ConfigError, match=want):
+        predictions({}, cfg, d.test_x)
+    monkeypatch.undo()
+    # the count the check names is the one the model needs
+    fitted = tiny_cfg(model=dataclasses.replace(TINY_MODEL, positions=tokens),
+                      drop_ratio=drop_ratio, epochs=1)
+    params, _ = train(fitted, d)
+    assert predictions(params, fitted, d.test_x).shape == (4,)
+
+
 # ---------------------------------------------------------------- gradleak
 
 

@@ -1,6 +1,7 @@
 """Tests for the autodiff tensor: forward oracles, gradients, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from picrypt.errors import ConfigError, PicryptError, ShapeError
 from picrypt.tensor import (
     CHECKPOINT_MAGIC,
     LAYER_NORM_EPS,
+    MAX_CHECKPOINT_RANK,
     Tensor,
     add,
     backward,
@@ -395,3 +397,28 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(Exception, match="version"):
         load_checkpoint(path)
+
+
+def one_entry_checkpoint(name: bytes, dims) -> bytes:
+    """PETN v1 bytes of one entry with the given raw name and dims."""
+    return (CHECKPOINT_MAGIC + struct.pack("<II", 1, 1)
+            + struct.pack("<H", len(name)) + name
+            + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+            + np.zeros(math.prod(dims)).tobytes())
+
+
+def test_checkpoint_rejects_non_utf8_name(tmp_path):
+    path = tmp_path / "m.petn"
+    path.write_bytes(one_entry_checkpoint(b"w\xff", (1, 2)))
+    with pytest.raises(ShapeError, match="not UTF-8"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("rank", [MAX_CHECKPOINT_RANK + 1, 65])
+def test_checkpoint_rejects_rank_above_bound(tmp_path, rank):
+    path = tmp_path / "m.petn"
+    path.write_bytes(one_entry_checkpoint(b"w", (1,) * rank))
+    with pytest.raises(ShapeError, match="rank"):
+        load_checkpoint(path)
+    path.write_bytes(one_entry_checkpoint(b"w", (1,) * MAX_CHECKPOINT_RANK))
+    assert load_checkpoint(path)["w"].data.shape == (1,) * MAX_CHECKPOINT_RANK
