@@ -16,11 +16,13 @@ Three attacks, each matched to what it can and cannot recover:
 
 from __future__ import annotations
 
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ShapeError
+from .errors import ConfigError, DataError, GeometryError, ShapeError
 from .rng import SplitMix64
 
 @dataclass(frozen=True, eq=False)
@@ -56,34 +58,87 @@ def _norm_patch(p: np.ndarray) -> np.ndarray:
     return out
 
 
-# rows of the seam tables filled per step: bounds the (rows, n, edge)
-# difference temporary at about 19 MB for 3136 patches of side 4
-_TABLE_BLOCK = 64
+# seam table entries filled per step. A step of rows = _TABLE_BLOCK // n
+# rows holds two (8, rows, n) float64 buffers, the eight partial sums and
+# one group of squared differences, at most 0.8 MB each whatever n is (of
+# the sizes timed on a 2-core Xeon, the fastest at 784 and 3136 patches)
+_TABLE_BLOCK = 12544
 
-# most patches one solve takes: its two n x n float64 seam tables are then
-# 128 MiB each (3136 patches, a 224^2 image at P=4, need 75 MiB each)
+# most patches one solve takes: ``place`` holds four n x n float64 tables
+# (the two seam tables and contiguous copies of their transposes), 512 MiB
+# at this bound (3136 patches, a 224^2 image at P=4, need 300 MiB)
 MAX_SOLVE_PATCHES = 4096
+
+# numpy's pairwise summation: runs shorter than this are summed in eight
+# interleaved partials, longer ones are halved first
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_ssd(a, b, out, part, sq):
+    """out[i, j] = sum over k of (a[k, i] - b[k, j])**2, in numpy's order.
+
+    ``a`` is (m, rows) and ``b`` is (m, n); the sum over k follows numpy's
+    ``pairwise_sum`` over a contiguous axis of length m, so ``out`` is
+    bit-identical to ``((a.T[:, None] - b.T[None]) ** 2).sum(axis=2)``.
+    ``part`` and ``sq`` are (8, rows, n) scratch buffers.
+    """
+    m = len(a)
+    if m > _PAIRWISE_BLOCK:  # two halves, the first a multiple of 8 long
+        half = m // 2 - (m // 2) % 8
+        _pairwise_ssd(a[:half], b[:half], out, part, sq)
+        rest = np.empty_like(out)
+        _pairwise_ssd(a[half:], b[half:], rest, part, sq)
+        out += rest
+        return
+    whole = 0 if m < 8 else m - m % 8
+    if whole:
+        # eight partials over whole groups of 8, then summed as
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        np.subtract(a[:8, :, None], b[:8, None, :], out=part)
+        np.multiply(part, part, out=part)
+        for k in range(8, whole, 8):
+            np.subtract(a[k:k + 8, :, None], b[k:k + 8, None, :], out=sq)
+            np.multiply(sq, sq, out=sq)
+            part += sq
+        np.add(part[0::2], part[1::2], out=part[0::2])
+        np.add(part[0::4], part[2::4], out=part[0::4])
+        np.add(part[0], part[4], out=out)
+    else:  # numpy starts from 0.0; 0.0 + x is x for a square x
+        np.subtract(a[0, :, None], b[0], out=out)
+        np.multiply(out, out, out=out)
+        whole = 1
+    for k in range(whole, m):  # the rest, in order
+        np.subtract(a[k, :, None], b[k], out=sq[0])
+        np.multiply(sq[0], sq[0], out=sq[0])
+        out += sq[0]
 
 
 def seam_tables(stack: np.ndarray):
     """D_right[i, j] = cost of j right of i; D_below[i, j] = j below i.
 
-    ``stack`` is an (n, P, P, C) float array; the diagonals are inf, so
-    no patch is its own neighbor. Filled _TABLE_BLOCK rows at a time; each
-    entry is the same contiguous reduction as in a one-shot (n, n, edge)
-    broadcast, so the values are bit-identical to it.
+    ``stack`` is an (n, P, P, C) float64 array; the diagonals are inf, so
+    no patch is its own neighbor. Filled a block of rows at a time by
+    whole-row elementwise ops over the edge vectors, summed in the order of
+    numpy's pairwise sum, so the values are bit-identical to a one-shot
+    (n, n, edge) broadcast and ``.sum(axis=2)``.
     """
     n = stack.shape[0]
-    last_col = stack[:, :, -1, :].reshape(n, -1)
-    first_col = stack[:, :, 0, :].reshape(n, -1)
-    last_row = stack[:, -1, :, :].reshape(n, -1)
-    first_row = stack[:, 0, :, :].reshape(n, -1)
+
+    def edge(e):  # (edge, n): coordinate k of every patch's edge is one row
+        return np.ascontiguousarray(e.reshape(n, -1).T)
+
+    last_col, first_col = edge(stack[:, :, -1, :]), edge(stack[:, :, 0, :])
+    last_row, first_row = edge(stack[:, -1, :, :]), edge(stack[:, 0, :, :])
     d_right = np.empty((n, n))
     d_below = np.empty((n, n))
-    for lo in range(0, n, _TABLE_BLOCK):
-        rows = slice(lo, lo + _TABLE_BLOCK)
-        d_right[rows] = ((last_col[rows, None, :] - first_col[None, :, :]) ** 2).sum(axis=2)
-        d_below[rows] = ((last_row[rows, None, :] - first_row[None, :, :]) ** 2).sum(axis=2)
+    rows = max(1, _TABLE_BLOCK // max(n, 1))
+    part = np.empty((8, min(rows, n), n))
+    sq = np.empty_like(part)
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        scratch = part[:, :hi - lo], sq[:, :hi - lo]
+        _pairwise_ssd(last_col[:, lo:hi], first_col, d_right[lo:hi], *scratch)
+        _pairwise_ssd(last_row[:, lo:hi], first_row, d_below[lo:hi], *scratch)
     np.fill_diagonal(d_right, np.inf)
     np.fill_diagonal(d_below, np.inf)
     return d_right, d_below
@@ -103,14 +158,17 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     the unplaced patch with the smallest cost summed over its already-placed
     neighbors, keeping the kernel's bounding box within rows x cols. Ties
     break by lower patch index, then relation order right/below/left/above,
-    then slot coordinates, so results are deterministic.
+    then slot coordinates, so results are deterministic. An entry that is
+    NaN or -inf, or +inf off the diagonal, is a DataError.
 
     Each frontier slot keeps its best (score, patch, relation, slot) key
-    between placements. A placement rescores only the empty slots next to
-    it and the slots whose cached pick it used, at O(n) each. On natural
-    images that is about four slots per placement, so a solve costs O(n^2)
-    rather than O(n^2 * frontier); flat inputs, where every slot wants the
-    same patch, still rescore the whole frontier.
+    between placements, in a heap for the minimum and in an index by patch.
+    A placement rescores only the empty slots next to it and the slots whose
+    cached pick it used, each with one or more O(n) row adds over contiguous
+    table rows. On natural images that is a few slots per placement (about
+    four at 784 patches, fifteen at 3136), so a solve costs O(n^2) plus the
+    heap work; flat inputs, where every slot wants the same patch, still
+    rescore the whole frontier.
     """
     d_right, d_below = np.asarray(d_right), np.asarray(d_below)
     n = len(d_right) if d_right.ndim else 0
@@ -118,6 +176,12 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
         raise GeometryError(f"seam tables {d_right.shape} and {d_below.shape} are not n x n")
     if not 2 <= n <= rows * cols or rows < 1 or cols < 1:
         raise GeometryError(f"{n} patches: a placement needs 2 to {rows}x{cols}")
+    for table in (d_right, d_below):
+        # a placed patch scores +inf below: -inf + inf would be NaN
+        finite = np.isfinite(table)
+        np.fill_diagonal(finite, finite.diagonal() | (table.diagonal() == np.inf))
+        if not finite.all():
+            raise DataError("seam table holds NaN, -inf or an off-diagonal inf")
 
     # seed: minimal pair over the relations the grid can hold (a one-row or
     # one-column grid admits only one); tie key (score, i, j, relation)
@@ -131,15 +195,19 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
             best = key
     _, si, sj, srel = best
     placed = {(0, 0): si, _NEIGHBORS[srel]: sj}
-    unplaced = np.ones(n, dtype=bool)
-    unplaced[si] = unplaced[sj] = False
-    free = np.flatnonzero(unplaced)
+    # +inf for a placed patch, 0.0 for a free one: adding it to a score row
+    # masks the placed patches, and x + 0.0 is the 0.0 + x of a sum from zero
+    taken = np.zeros(n)
+    taken[[si, sj]] = np.inf
     lo_r = lo_c = 0
     hi_r, hi_c = _NEIGHBORS[srel]
 
     # per relation, the table whose row q scores a slot next to placed q:
-    # the rows of d_right/d_below, then their columns (rows of the transposes)
-    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, d_right.T, d_below.T)))
+    # the rows of d_right/d_below, then their columns, read as the rows of
+    # contiguous transposes
+    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, np.ascontiguousarray(d_right.T),
+                                   np.ascontiguousarray(d_below.T))))
+    buf = np.empty(n)
 
     def fits(s):
         height = max(hi_r, s[0]) - min(lo_r, s[0]) + 1
@@ -148,15 +216,20 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
 
     def slot_key(r, c):
         # placed neighbors summed in relation order, argmin over free patches
-        score = np.zeros(len(free))
-        rel_rank = 4
+        rel_rank = None
         for rank, ((dr, dc), table) in enumerate(seams):
             q = placed.get((r - dr, c - dc))
-            if q is not None:
-                score += table[q, free]
-                rel_rank = min(rel_rank, rank)
-        k = int(np.argmin(score))  # first occurrence = lowest patch index
-        return (float(score[k]), int(free[k]), rel_rank, r, c)
+            if q is None:
+                continue
+            if rel_rank is None:
+                score = np.add(table[q], taken, out=buf)
+                rel_rank = rank
+            else:
+                score += table[q]
+        k = int(score.argmin())  # first occurrence = lowest patch index
+        if taken[k]:  # every free sum overflowed to inf: the lowest free patch
+            k = int(taken.argmin())
+        return (float(score[k]), k, rel_rank, r, c)
 
     def open_neighbors(r, c):
         # empty slots next to (r, c) that the bounding box admits
@@ -166,24 +239,38 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
                 yield s
 
     # frontier: empty slots adjacent to the kernel, bounding box permitting,
-    # each mapped to its cached best key; stale: slots to (re)score
+    # each mapped to its cached best key; by_pick: the frontier slots of each
+    # cached pick; heap: every key the frontier held, a key live while the
+    # frontier still holds it; stale: slots to (re)score
     frontier = {}
+    by_pick = defaultdict(set)
+    heap = []
     stale = {s for rc in placed for s in open_neighbors(*rc)}
-    while free.size:
+    for _ in range(n - 2):
         for s in stale:
-            frontier[s] = slot_key(*s)
-        _, pick, _, r, c = min(frontier.values())
+            if s in frontier:
+                by_pick[frontier[s][1]].discard(s)
+            key = slot_key(*s)
+            frontier[s] = key
+            by_pick[key[1]].add(s)
+            heapq.heappush(heap, key)
+        key = heapq.heappop(heap)
+        while frontier.get(key[3:]) is not key:
+            key = heapq.heappop(heap)
+        _, pick, _, r, c = key
         placed[(r, c)] = pick
         del frontier[(r, c)]
-        unplaced[pick] = False
-        free = np.flatnonzero(unplaced)
+        taken[pick] = np.inf
+        # a slot whose cached pick is still free keeps its (min, lowest index)
+        stale = by_pick.pop(pick)
+        stale.discard((r, c))
         if not (lo_r <= r <= hi_r and lo_c <= c <= hi_c):
             # slots leave the frontier only when the box grows
             lo_r, hi_r = min(lo_r, r), max(hi_r, r)
             lo_c, hi_c = min(lo_c, c), max(hi_c, c)
-            frontier = {s: key for s, key in frontier.items() if fits(s)}
-        # a slot whose cached pick is still free keeps its (min, lowest index)
-        stale = {s for s, key in frontier.items() if key[1] == pick}
+            for s in [s for s in frontier if not fits(s)]:
+                by_pick[frontier.pop(s)[1]].discard(s)
+                stale.discard(s)
         stale.update(open_neighbors(r, c))
 
     slots = np.full((rows, cols), -1, dtype=np.int64)
@@ -197,7 +284,8 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
 
     ``patches`` is an (N, P, P, C) array (or a list of patches), uint8 or
     float in [0, 1]; patches marked in the optional (N,) bool mask ``holes``
-    are never placed. Slots of the result hold indices into ``patches``.
+    are never placed, and a NaN or inf in a float patch that is placed is a
+    DataError. Slots of the result hold indices into ``patches``.
     """
     patches = np.asarray(patches)
     if holes is None:
@@ -213,7 +301,10 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
         slots = np.full((rows, cols), -1, dtype=np.int64)
         slots.flat[:n] = idx_map
         return Arrangement(slots)
-    found = place(*seam_tables(_norm_patch(patches[idx_map])), rows, cols).slots
+    stack = _norm_patch(patches[idx_map])
+    if patches.dtype.kind == "f" and not np.isfinite(stack).all():
+        raise DataError("patches hold NaN or inf")
+    found = place(*seam_tables(stack), rows, cols).slots
     return Arrangement(np.where(found >= 0, idx_map[found], -1))
 
 

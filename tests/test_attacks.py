@@ -21,7 +21,7 @@ from picrypt.attacks import (
     seam_tables,
 )
 from picrypt.cipher import gen_key
-from picrypt.errors import ConfigError, GeometryError, ShapeError
+from picrypt.errors import ConfigError, DataError, GeometryError, ShapeError
 from picrypt.harness import truth_for_key
 from picrypt.imgio import Image, split_patches
 from picrypt.rng import SplitMix64
@@ -258,6 +258,33 @@ def test_place_leaves_tables_unchanged():
     found = place(d_right, d_below, 3, 3)
     assert np.array_equal(d_right, want[0]) and np.array_equal(d_below, want[1])
     assert np.array_equal(found.slots, jigsaw_solve([patches[i] for i in perm], 3, 3).slots)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_jigsaw_rejects_non_finite_float_patches(monkeypatch, bad):
+    # checked before the seam tables are built, which would carry the NaN
+    def no_tables(stack):
+        raise RuntimeError("tables built")
+
+    monkeypatch.setattr(attacks, "seam_tables", no_tables)
+    patches = np.full((4, 2, 2, 3), 0.5)
+    patches[2, 1, 0, 1] = bad
+    with pytest.raises(DataError, match="NaN or inf"):
+        jigsaw_solve(patches, 2, 2)
+
+
+@pytest.mark.parametrize("entry, at", [(np.nan, (0, 1)), (np.nan, (2, 2)), (-np.inf, (1, 0)),
+                                       (-np.inf, (3, 3)), (np.inf, (2, 3))])
+@pytest.mark.parametrize("which", ["right", "below"])
+def test_place_rejects_non_finite_table_entries(entry, at, which):
+    # a placed patch scores +inf, and -inf + inf would be NaN; +inf stays
+    # allowed on the diagonal, where seam_tables puts it
+    tables = {"right": np.full((4, 4), 0.5), "below": np.full((4, 4), 0.5)}
+    for table in tables.values():
+        np.fill_diagonal(table, np.inf)
+    tables[which][at] = entry
+    with pytest.raises(DataError, match="seam table"):
+        place(tables["right"], tables["below"], 2, 2)
 
 
 # ---------------------------------------------------------------- metrics

@@ -53,3 +53,22 @@ def test_every_module_has_a_caller_in_the_package():
     orphans = [name for name, who in sorted(callers.items())
                if not who and name not in ("__init__", "cli")]
     assert orphans == []
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # numpy is the one dependency in pyproject.toml; any other third-party
+    # import may be missing where the package is installed, and adds to the
+    # cost of every import of it
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] not in allowed]
+    assert found == []

@@ -1,4 +1,4 @@
-"""The incremental jigsaw solver against the full-rescore greedy loop.
+"""The incremental jigsaw solver against the greedy loops it replaced.
 
 ``reference_jigsaw_solve`` is the solver as it was before it kept state
 between placements: after every placement it rebuilds the bounding box and
@@ -7,6 +7,13 @@ It is kept here, test-only, as the oracle: the incremental solver must
 produce the same arrangement, exact score ties included. Its seed pair
 skips a relation the grid cannot hold, as the solver's does; without that,
 a one-row or one-column grid could be seeded with a pair it cannot hold.
+
+``scan_place`` is ``place`` as it was before its frontier was indexed: it
+keeps the cached keys but gathers the free patches' scores and scans the
+whole frontier for the minimum. It is fast enough to check ``place`` on
+784-patch grids, where the full rescore is not. ``broadcast_tables`` is the
+one-shot (n, n, edge) form of ``seam_tables``, which ``seam_tables`` must
+match bit for bit.
 """
 
 import numpy as np
@@ -15,6 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from picrypt.attacks import (
+    _NEIGHBORS,
     _TABLE_BLOCK,
     Arrangement,
     _norm_patch,
@@ -138,6 +146,72 @@ def reference_jigsaw_solve(patches, rows, cols):
     return Arrangement(slots)
 
 
+def scan_place(d_right, d_below, rows, cols):
+    """Greedy placement with cached slot keys, a gathered score over the free
+    patches and a scan of the whole frontier for the minimum."""
+    n = len(d_right)
+    best = None
+    for rank, (table, room) in enumerate(((d_right, cols > 1), (d_below, rows > 1))):
+        if not room:
+            continue
+        ii, jj = np.unravel_index(np.argmin(table), table.shape)
+        key = (table.min(), int(ii), int(jj), rank)
+        if best is None or key < best:
+            best = key
+    _, si, sj, srel = best
+    placed = {(0, 0): si, _NEIGHBORS[srel]: sj}
+    unplaced = np.ones(n, dtype=bool)
+    unplaced[si] = unplaced[sj] = False
+    free = np.flatnonzero(unplaced)
+    lo_r = lo_c = 0
+    hi_r, hi_c = _NEIGHBORS[srel]
+    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, d_right.T, d_below.T)))
+
+    def fits(s):
+        height = max(hi_r, s[0]) - min(lo_r, s[0]) + 1
+        width = max(hi_c, s[1]) - min(lo_c, s[1]) + 1
+        return height <= rows and width <= cols
+
+    def slot_key(r, c):
+        score = np.zeros(len(free))
+        rel_rank = 4
+        for rank, ((dr, dc), table) in enumerate(seams):
+            q = placed.get((r - dr, c - dc))
+            if q is not None:
+                score += table[q, free]
+                rel_rank = min(rel_rank, rank)
+        k = int(np.argmin(score))
+        return (float(score[k]), int(free[k]), rel_rank, r, c)
+
+    def open_neighbors(r, c):
+        for dr, dc in _NEIGHBORS:
+            s = (r + dr, c + dc)
+            if s not in placed and fits(s):
+                yield s
+
+    frontier = {}
+    stale = {s for rc in placed for s in open_neighbors(*rc)}
+    while free.size:
+        for s in stale:
+            frontier[s] = slot_key(*s)
+        _, pick, _, r, c = min(frontier.values())
+        placed[(r, c)] = pick
+        del frontier[(r, c)]
+        unplaced[pick] = False
+        free = np.flatnonzero(unplaced)
+        if not (lo_r <= r <= hi_r and lo_c <= c <= hi_c):
+            lo_r, hi_r = min(lo_r, r), max(hi_r, r)
+            lo_c, hi_c = min(lo_c, c), max(hi_c, c)
+            frontier = {s: key for s, key in frontier.items() if fits(s)}
+        stale = {s for s, key in frontier.items() if key[1] == pick}
+        stale.update(open_neighbors(r, c))
+
+    slots = np.full((rows, cols), -1, dtype=np.int64)
+    for (r, c), i in placed.items():
+        slots[r - lo_r, c - lo_c] = i
+    return Arrangement(slots)
+
+
 def assert_same_solve(patches, rows, cols):
     """``patches`` is a list with HOLE entries; the solver gets it as one
     array with zeros in the hole slots plus the hole mask."""
@@ -152,17 +226,27 @@ def assert_same_solve(patches, rows, cols):
 # ---------------------------------------------------------------- tables
 
 
-@pytest.mark.parametrize("ps", [16, 8, 4])
+# patch sides; each runs at 1 and 3 channels but 128 at 1, so the edge
+# lengths cover numpy's pairwise-sum cases: below 8, exactly 8, a multiple
+# of 8, not a multiple, exactly 128 and above 128 (144, 150, 192: halved
+# first, 150 at 72 rather than 75)
+_TABLE_SIDES = [1, 2, 3, 4, 5, 8, 16, 48, 50, 64, 128]
+
+
+@pytest.mark.parametrize("ps", _TABLE_SIDES)
 def test_blocked_tables_equal_broadcast(ps):
-    # two full table blocks and a partial one
     rng = np.random.default_rng(ps)
-    n = 2 * _TABLE_BLOCK + 22
-    raw = rng.integers(0, 256, size=(n, ps, ps, 3), dtype=np.uint8)
-    stack = np.stack([_norm_patch(p) for p in raw])
-    got = seam_tables(stack)
-    want = broadcast_tables(stack)
-    assert np.array_equal(got[0], want[0])
-    assert np.array_equal(got[1], want[1])
+    # n = 2, and full table blocks plus a partial one
+    rows = _TABLE_BLOCK // 130
+    assert 130 > rows and 130 % rows
+    for ch in (1,) if ps == 128 else (1, 3):
+        for n in (2, 130):
+            raw = rng.integers(0, 256, size=(n, ps, ps, ch), dtype=np.uint8)
+            stack = _norm_patch(raw)
+            got = seam_tables(stack)
+            want = broadcast_tables(stack)
+            assert np.array_equal(got[0], want[0]), (ps, ch, n)
+            assert np.array_equal(got[1], want[1]), (ps, ch, n)
 
 
 # ---------------------------------------------------------------- solver
@@ -236,3 +320,46 @@ def test_corpus_cells_match_reference(interval, drop_ratio):
     enc = rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches))
     patches = [HOLE if hole else p for p, hole in zip(enc.patches, enc.holes)]
     assert_same_solve(patches, grid.rows, grid.cols)
+
+
+def corpus_tables(ps, interval, drop_ratio, seed):
+    """Seam tables of one shuffled 224^2 corpus image, holes left out."""
+    pixels = gen_puzzle_corpus(1, 224, seed=3)[0]
+    rng = SplitMix64(seed)
+    grid = split_patches(Image(pixels=pixels), ps, interval)
+    if drop_ratio > 0.0:
+        grid = drop_patches(grid, drop_ratio, rng.next_u64())
+    enc = rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches))
+    return seam_tables(_norm_patch(enc.patches[~enc.holes])), grid.rows, grid.cols
+
+
+@pytest.mark.parametrize("seed", [5, 29])
+@pytest.mark.parametrize("drop_ratio", [0.0, 0.2])
+@pytest.mark.parametrize("interval", [0, 1])
+def test_place_matches_scan_place_at_p8(interval, drop_ratio, seed):
+    # P=8 grids of up to 784 patches, too many for the full-rescore oracle
+    (d_right, d_below), rows, cols = corpus_tables(8, interval, drop_ratio, seed)
+    want = scan_place(d_right, d_below, rows, cols)
+    assert np.array_equal(place(d_right, d_below, rows, cols).slots, want.slots)
+
+
+def test_place_matches_scan_place_on_flat_784():
+    # every slot wants the same patch, so each placement rescores the frontier
+    stack = np.full((784, 8, 8, 3), 0.5)
+    d_right, d_below = seam_tables(stack)
+    want = scan_place(d_right, d_below, 28, 28)
+    assert np.array_equal(place(d_right, d_below, 28, 28).slots, want.slots)
+
+
+def test_place_overflowing_sums_match_scan_place():
+    # entries near the float64 maximum: a slot with two or more placed
+    # neighbors sums to +inf for every free patch, and must take the lowest
+    # free one, as the gathered score does, not a placed one
+    rng = np.random.default_rng(8)
+    d_right, d_below = rng.uniform(0.9e308, 1e308, size=(2, 25, 25))
+    np.fill_diagonal(d_right, np.inf)
+    np.fill_diagonal(d_below, np.inf)
+    with np.errstate(over="ignore"):
+        assert np.isinf(d_right[0, 1] + d_below[0, 1])
+        want = scan_place(d_right, d_below, 5, 5)
+        assert np.array_equal(place(d_right, d_below, 5, 5).slots, want.slots)
