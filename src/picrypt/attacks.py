@@ -246,32 +246,35 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     by_pick = defaultdict(set)
     heap = []
     stale = {s for rc in placed for s in open_neighbors(*rc)}
-    for _ in range(n - 2):
-        for s in stale:
-            if s in frontier:
-                by_pick[frontier[s][1]].discard(s)
-            key = slot_key(*s)
-            frontier[s] = key
-            by_pick[key[1]].add(s)
-            heapq.heappush(heap, key)
-        key = heapq.heappop(heap)
-        while frontier.get(key[3:]) is not key:
+    # finite entries may sum past the float64 maximum: such a score is +inf,
+    # as slot_key expects, and not worth a warning
+    with np.errstate(over="ignore"):
+        for _ in range(n - 2):
+            for s in stale:
+                if s in frontier:
+                    by_pick[frontier[s][1]].discard(s)
+                key = slot_key(*s)
+                frontier[s] = key
+                by_pick[key[1]].add(s)
+                heapq.heappush(heap, key)
             key = heapq.heappop(heap)
-        _, pick, _, r, c = key
-        placed[(r, c)] = pick
-        del frontier[(r, c)]
-        taken[pick] = np.inf
-        # a slot whose cached pick is still free keeps its (min, lowest index)
-        stale = by_pick.pop(pick)
-        stale.discard((r, c))
-        if not (lo_r <= r <= hi_r and lo_c <= c <= hi_c):
-            # slots leave the frontier only when the box grows
-            lo_r, hi_r = min(lo_r, r), max(hi_r, r)
-            lo_c, hi_c = min(lo_c, c), max(hi_c, c)
-            for s in [s for s in frontier if not fits(s)]:
-                by_pick[frontier.pop(s)[1]].discard(s)
-                stale.discard(s)
-        stale.update(open_neighbors(r, c))
+            while frontier.get(key[3:]) is not key:
+                key = heapq.heappop(heap)
+            _, pick, _, r, c = key
+            placed[(r, c)] = pick
+            del frontier[(r, c)]
+            taken[pick] = np.inf
+            # a slot whose cached pick is still free keeps its (min, lowest index)
+            stale = by_pick.pop(pick)
+            stale.discard((r, c))
+            if not (lo_r <= r <= hi_r and lo_c <= c <= hi_c):
+                # slots leave the frontier only when the box grows
+                lo_r, hi_r = min(lo_r, r), max(hi_r, r)
+                lo_c, hi_c = min(lo_c, c), max(hi_c, c)
+                for s in [s for s in frontier if not fits(s)]:
+                    by_pick[frontier.pop(s)[1]].discard(s)
+                    stale.discard(s)
+            stale.update(open_neighbors(r, c))
 
     slots = np.full((rows, cols), -1, dtype=np.int64)
     for (r, c), i in placed.items():

@@ -22,7 +22,7 @@ from .errors import ConfigError, DataError, ShapeError
 from .tensor import (
     Tensor,
     add,
-    concat_last_axis,
+    attention,
     concat_rows,
     cross_entropy,
     first_row,
@@ -31,8 +31,6 @@ from .tensor import (
     matmul,
     scale,
     sigmoid,
-    softmax_rows,
-    transpose_last_two as transpose,
 )
 
 
@@ -130,18 +128,13 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
 
 
 def msa(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -> Tensor:
-    """Multi-head self-attention; heads are separate projections, concatenated."""
-    outs = []
-    for j in range(heads):
-        q = matmul(z, params[f"{prefix}.h{j}.wq"])
-        k = matmul(z, params[f"{prefix}.h{j}.wk"])
-        v = matmul(z, params[f"{prefix}.h{j}.wv"])
-        dk = q.data.shape[1]
-        weights = softmax_rows(scale(matmul(q, transpose(k)), 1.0 / np.sqrt(dk)))
-        if trace is not None:
-            trace.append(weights.data.copy())
-        outs.append(matmul(weights, v))
-    return matmul(concat_last_axis(outs), params[f"{prefix}.wo"])
+    """Multi-head self-attention: the heads' separate projections in one
+    tensor.attention node, then the output projection wo."""
+    wq, wk, wv = ([params[f"{prefix}.h{j}.{nm}"] for j in range(heads)]
+                  for nm in ("wq", "wk", "wv"))
+    dk = wq[0].data.shape[1]
+    return matmul(attention(z, wq, wk, wv, 1.0 / np.sqrt(dk), trace=trace),
+                  params[f"{prefix}.wo"])
 
 
 def encoder_block(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -> Tensor:

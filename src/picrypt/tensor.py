@@ -110,36 +110,9 @@ def scale(a: Tensor, s: float) -> Tensor:
     return out
 
 
-def _concat(tensors, axis: int) -> Tensor:
-    """Join along ``axis``; the pullback hands each input its slice of g."""
-    lead = (slice(None),) * (axis % tensors[0].data.ndim)
-    stops = list(itertools.accumulate(t.data.shape[axis] for t in tensors))
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 parents=tuple(tensors))
-
-    def pull(g):
-        for t, start, stop in zip(tensors, [0] + stops, stops):
-            t.accumulate(g[lead + (slice(start, stop),)])
-
-    out._pullback = pull
-    return out
-
-
-def concat_last_axis(tensors) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat_last_axis of an empty sequence")
-    lead = tensors[0].data.shape[:-1]
-    for t in tensors:
-        if t.data.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last_axis mismatch: {t.data.shape} vs leading {lead}"
-            )
-    return _concat(tensors, -1)
-
-
 def concat_rows(tensors) -> Tensor:
-    """Stack 2-D tensors of equal width vertically."""
+    """Stack 2-D tensors of equal width vertically; the pullback hands each
+    input its rows of g."""
     tensors = list(tensors)
     if not tensors:
         raise ShapeError("concat_rows of an empty sequence")
@@ -147,13 +120,14 @@ def concat_rows(tensors) -> Tensor:
     for t in tensors:
         if _as2d("concat_rows", t).shape[1] != width:
             raise ShapeError(f"concat_rows mismatch: {t.data.shape} vs width {width}")
-    return _concat(tensors, 0)
+    stops = list(itertools.accumulate(len(t.data) for t in tensors))
+    out = Tensor(np.concatenate([t.data for t in tensors]), parents=tuple(tensors))
 
+    def pull(g):
+        for t, start, stop in zip(tensors, [0] + stops, stops):
+            t.accumulate(g[start:stop])
 
-def transpose_last_two(a: Tensor) -> Tensor:
-    _as2d("transpose_last_two", a)
-    out = Tensor(a.data.T.copy(), parents=(a,))
-    out._pullback = lambda g: a.accumulate(g.T)
+    out._pullback = pull
     return out
 
 
@@ -171,20 +145,67 @@ def first_row(a: Tensor) -> Tensor:
     return out
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    da = _as2d("softmax_rows", a)
-    shifted = da - da.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y, parents=(a,))
+def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
+    """Multi-head self-attention before the output projection, as one node.
+
+    ``wq``, ``wk`` and ``wv`` hold one (D, d) projection per head. Head j is
+    softmax(scale * (z wq_j)(z wk_j)^T)(z wv_j) with a row softmax, and the
+    heads are joined along the last axis into an (N, H*d) tensor. A list
+    ``trace`` receives a copy of each head's (N, N) attention weights.
+
+    The heads run stacked, but every numpy call works per head on operands
+    laid out as in a per-head composition of matmul, a transposed copy of
+    k, a scale and a row softmax, and the pullback adds into z in that
+    composition's reverse-tape order (heads last to first; v, k, then q),
+    so values and gradients are bit for bit that composition's.
+    """
+    dz = _as2d("attention", z)
+    heads, ws = len(wq), (*wq, *wk, *wv)
+    shapes = {w.data.shape for w in ws}
+    if not heads or not heads == len(wk) == len(wv) \
+            or shapes != {(dz.shape[1], *wq[0].shape[-1:])}:
+        raise ShapeError(f"attention of tokens {dz.shape} needs one (D, d) shape for "
+                         f"{heads} wq, {len(wk)} wk and {len(wv)} wv, got {sorted(shapes)}")
+    n, s = dz.shape[0], float(scale)
+    stacked = np.stack([w.data for w in ws])  # (3H, D, d)
+    proj = np.matmul(dz, stacked)
+    q, k, v = proj[:heads], proj[heads:2 * heads], proj[2 * heads:]
+    kt = k.transpose(0, 2, 1).copy()
+    scores = np.matmul(q, kt) * s
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    if trace is not None:
+        trace.extend(w.copy() for w in y)
+    out = Tensor(np.matmul(y, v).transpose(1, 0, 2).reshape(n, -1), parents=(z, *ws))
 
     def pull(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        a.accumulate(y * (g - dot))
+        # a gradient holds no -0.0, so this is each head's g[:, cols] + 0.0;
+        # every "+ 0.0" below is the first accumulate of a per-head node
+        g_o = np.ascontiguousarray(g.reshape(n, heads, -1).transpose(1, 0, 2))
+        g_y = np.matmul(g_o, v.transpose(0, 2, 1)) + 0.0
+        g_v = np.matmul(y.transpose(0, 2, 1), g_o) + 0.0
+        g_s = (y * (g_y - (g_y * y).sum(axis=-1, keepdims=True)) + 0.0) * s + 0.0
+        g_q = np.matmul(g_s, kt.transpose(0, 2, 1)) + 0.0
+        # the transposed copy's gradient, read back through the transpose:
+        # per head an F-ordered (N, d) array
+        g_k = (np.matmul(q.transpose(0, 2, 1), g_s) + 0.0).transpose(0, 2, 1)
+        wt = stacked.transpose(0, 2, 1)
+        parts = [(np.matmul(g_p, wt[i * heads:(i + 1) * heads]), np.matmul(dz.T, g_p))
+                 for i, g_p in enumerate((g_q, g_k, g_v))]
+        for j in reversed(range(heads)):
+            for i in (2, 1, 0):
+                to_z, to_w = parts[i]
+                z.accumulate(to_z[j])
+                ws[i * heads + j].accumulate(to_w[j])
 
     out._pullback = pull
     return out
+
+
+def _row_means(a):
+    # a.mean(axis=1, keepdims=True) bit for bit: numpy's mean is this
+    # add.reduce divided by the row count, behind a Python-level wrapper
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -198,8 +219,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
             f"do not match row width {d}"
         )
-    mu = dx.mean(axis=1, keepdims=True)
-    var = ((dx - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = _row_means(dx)
+    var = _row_means((dx - mu) ** 2)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (dx - mu) * inv_std
     out = Tensor(grow * xhat + brow, parents=(x, gamma, beta))
@@ -208,8 +229,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         gamma.accumulate((g * xhat).sum(axis=0, keepdims=True).reshape(gamma.data.shape))
         beta.accumulate(g.sum(axis=0, keepdims=True).reshape(beta.data.shape))
         dxhat = g * grow
-        term = dxhat - dxhat.mean(axis=1, keepdims=True) \
-            - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+        term = dxhat - _row_means(dxhat) - xhat * _row_means(dxhat * xhat)
         x.accumulate(inv_std * term)
 
     out._pullback = pull

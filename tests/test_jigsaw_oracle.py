@@ -16,6 +16,8 @@ one-shot (n, n, edge) form of ``seam_tables``, which ``seam_tables`` must
 match bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -363,3 +365,17 @@ def test_place_overflowing_sums_match_scan_place():
         assert np.isinf(d_right[0, 1] + d_below[0, 1])
         want = scan_place(d_right, d_below, 5, 5)
         assert np.array_equal(place(d_right, d_below, 5, 5).slots, want.slots)
+
+
+@pytest.mark.parametrize("n, side", [(16, 4), (25, 5)])
+def test_place_overflowing_sums_do_not_warn(n, side):
+    # finite entries whose sums pass the float64 maximum: no RuntimeWarning
+    # reaches the caller, and the arrangement is the gathered score's
+    rng = np.random.default_rng(n)
+    d_right, d_below = rng.uniform(0.9e308, 1e308, size=(2, n, n))
+    with np.errstate(over="ignore"):
+        want = scan_place(d_right, d_below, side, side)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = place(d_right, d_below, side, side)
+    assert np.array_equal(got.slots, want.slots)

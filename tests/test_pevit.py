@@ -5,7 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from picrypt import pevit
 from picrypt.errors import ConfigError, ShapeError
+from picrypt.harness import Adam
 from picrypt.pevit import (
     MAX_MODEL_FLOATS,
     ModelConfig,
@@ -24,10 +26,10 @@ from picrypt.tensor import (
     grad_check,
     matmul,
     scale,
-    softmax_rows,
-    transpose_last_two as transpose,
     zero_grads,
 )
+from tape_oracles import per_head_msa, softmax_rows
+from tape_oracles import transpose_last_two as transpose
 
 CFG = ModelConfig(patch_dim=12, dim=16, depth=2, heads=2, ffn_dim=32,
                   n_classes=4)
@@ -192,6 +194,83 @@ def test_msa_permutation_equivariant():
     a = msa(p, "layer0.attn", t(z[perm]), heads=2).data
     b = msa(p, "layer0.attn", t(z), heads=2).data[perm]
     assert np.max(np.abs(a - b)) < 1e-9
+
+
+def msa_run(attn, heads, n, dim, seed):
+    """Output, trace, and z and weight gradients of ``attn`` over one layer's
+    attention, with weights scaled up so the softmax is far from uniform."""
+    cfg = ModelConfig(patch_dim=4, dim=dim, depth=1, heads=heads, ffn_dim=4)
+    p = {name: Tensor(w.data * 40.0) for name, w in init_params(cfg, seed=seed).items()
+         if name.startswith("layer0.attn.")}
+    rng = np.random.default_rng(seed)
+    z = t(rng.standard_normal((n, dim)))
+    trace = []
+    out = attn(p, "layer0.attn", z, heads, trace=trace)
+    backward(matmul(matmul(t(rng.standard_normal((1, n))), out),
+                    t(rng.standard_normal((dim, 1)))))
+    return out.data, trace, z.grad, {name: w.grad for name, w in p.items()}
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+@pytest.mark.parametrize("n", [2, 5, 17])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_msa_matches_per_head_oracle_bit_for_bit(heads, n, dim):
+    out, trace, g_z, grads = msa_run(msa, heads, n, dim, seed=heads * n + dim)
+    want_out, want_trace, want_g_z, want_grads = msa_run(per_head_msa, heads, n, dim,
+                                                         seed=heads * n + dim)
+    assert np.array_equal(out, want_out)
+    assert len(trace) == len(want_trace) == heads
+    assert all(np.array_equal(a, b) for a, b in zip(trace, want_trace))
+    assert np.array_equal(g_z, want_g_z)
+    assert set(grads) == set(want_grads)
+    for name, g in grads.items():
+        assert np.array_equal(g, want_grads[name]), name
+
+
+@pytest.mark.parametrize("extra", [{"rpe": True, "rpe_hidden": 8}, {"positions": 10}])
+def test_model_with_fused_msa_matches_per_head_oracle(monkeypatch, extra):
+    # loss, encoder trace, every gradient and one Adam step over the flat
+    # buffers, on an rpe model and on a positional one
+    cfg = ModelConfig(patch_dim=12, dim=16, depth=2, heads=4, ffn_dim=32, n_classes=4,
+                      **extra)
+    x = np.random.default_rng(19).random((9, 12))
+
+    def run():
+        p = init_params(cfg, seed=19)
+        opt = Adam(p)
+        trace = {}
+        encode(p, cfg, x, trace=trace)
+        loss = loss_fn(p, cfg, x, 3)
+        backward(loss)
+        grads = {name: w.grad.copy() for name, w in p.items()}
+        opt.step()
+        return loss.data, trace, grads, opt.data
+
+    fused = run()
+    monkeypatch.setattr(pevit, "msa", per_head_msa)
+    loss, trace, grads, stepped = run()
+    assert np.array_equal(fused[0], loss)
+    for key in ("tokens", "attn"):
+        assert np.array_equal(np.array(fused[1][key]), np.array(trace[key])), key
+    for name, g in grads.items():
+        assert np.array_equal(fused[2][name], g), name
+    assert np.array_equal(fused[3], stepped)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_msa_adds_two_tape_nodes(heads):
+    # the fused attention node and the wo matmul, whatever the head count
+    cfg = ModelConfig(patch_dim=4, dim=8, depth=1, heads=heads, ffn_dim=4)
+    p = init_params(cfg, seed=20)
+    z = t(np.random.default_rng(20).standard_normal((5, 8)))
+    leaves = {id(w) for w in p.values()} | {id(z)}
+    seen, stack = set(), [msa(p, "layer0.attn", z, heads)]
+    while stack:
+        node = stack.pop()
+        if id(node) not in leaves and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    assert len(seen) == 2
 
 
 # ---------------------------------------------------------------- blocks

@@ -12,9 +12,10 @@ from picrypt.tensor import (
     LAYER_NORM_EPS,
     MAX_CHECKPOINT_RANK,
     Tensor,
+    _row_means,
     add,
+    attention,
     backward,
-    concat_last_axis,
     concat_rows,
     cross_entropy,
     first_row,
@@ -26,10 +27,9 @@ from picrypt.tensor import (
     save_checkpoint,
     scale,
     sigmoid,
-    softmax_rows,
-    transpose_last_two,
     zero_grads,
 )
+from tape_oracles import concat_last_axis, softmax_rows, transpose_last_two
 
 
 def t(arr):
@@ -144,6 +144,16 @@ def test_softmax_shift_invariance():
     assert np.all(np.isfinite(softmax_rows(t(x * 1e4)).data))
 
 
+def test_attention_rejects_mismatched_projections():
+    z = t(np.ones((3, 4)))
+    w = [t(np.ones((4, 2))), t(np.ones((4, 2)))]
+    assert attention(z, w, w, w, 0.5).shape == (3, 4)
+    for wq, wk, wv in [([], [], []), (w, w[:1], w), (w, w, [w[0], t(np.ones((4, 3)))]),
+                       ([t(np.ones((5, 2)))] * 2, w, w), ([t(np.ones(4))] * 2, w, w)]:
+        with pytest.raises(ShapeError):
+            attention(z, wq, wk, wv, 0.5)
+
+
 def test_layer_norm_constant_row_is_zero():
     gamma, beta = t(np.ones(4)), t(np.zeros(4))
     out = layer_norm(t([[7.0, 7.0, 7.0, 7.0]]), gamma, beta).data
@@ -158,6 +168,16 @@ def test_layer_norm_standardizes_rows():
     # population variance with eps=1e-5 folded into the denominator
     v = (x.var(axis=1) / (x.var(axis=1) + LAYER_NORM_EPS))
     assert np.max(np.abs(out.var(axis=1) - v)) < 1e-12
+
+
+@pytest.mark.parametrize("rows", [1, 3, 17])
+def test_layer_norm_row_means_are_ndarray_mean(rows):
+    # layer_norm's row means (add.reduce / width) are ndarray.mean bit for
+    # bit, over row widths that reach every pairwise-summation regime
+    rng = np.random.default_rng(rows)
+    for d in range(1, 301):
+        x = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-3, 3, size=(rows, 1))
+        assert np.array_equal(_row_means(x), x.mean(axis=1, keepdims=True)), d
 
 
 def test_gelu_pinned_constants():
