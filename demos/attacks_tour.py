@@ -2,8 +2,9 @@
 
 A greedy jigsaw solver reassembles shuffled smooth images when patches
 touch, and falls apart once gaps open between them. Gradient leakage
-inverts a rank-one embedding gradient perfectly -- and recovers the
-encrypted patch, which is the point. MI can't be inverted at all:
+inverts a rank-one embedding gradient perfectly: under RS it recovers a
+plaintext patch, pixels intact, and only where it came from stays
+hidden. MI can't be inverted at all:
 infinitely many sub-patch sets average to the same ciphertext, and we
 print two of them.
 """
@@ -32,9 +33,10 @@ def main():
     img = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
     out = gradleak_demo(img, patch_size=16, seed=0)
     print("\ngradient leakage on a single RS-encrypted token:")
-    print(f"  corr(recovered, ciphertext patch) = {out['corr_cipher']:+.6f}")
-    print(f"  corr(recovered, plaintext patch)  = {out['corr_plain']:+.6f}")
-    print("  the attack defeats the model, not the cipher")
+    print(f"  corr(recovered, ciphertext slot 0) = {out['corr_cipher']:+.6f}")
+    print(f"  corr(recovered, plaintext slot 0)  = {out['corr_plain']:+.6f}")
+    print(f"  ciphertext slot 0 is plaintext patch {out['slot_source']}, pixels intact: "
+          "RS hides only its position")
 
     px = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
     grid = split_patches(Image(pixels=px), 8, 0)

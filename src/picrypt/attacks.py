@@ -7,9 +7,9 @@ Three attacks, each matched to what it can and cannot recover:
   patches (interval > 0).
 * gradient leakage: for a single patch token through a linear embedding,
   the weight gradient is the rank-one outer product of the input and the
-  output gradient, so the input direction is recoverable in closed form —
-  but from an encrypted input it recovers the ciphertext patch, not the
-  plaintext.
+  output gradient, so the input direction is recoverable in closed form.
+  Under ``rs`` that input is a plaintext patch in another slot: the attack
+  recovers its pixels, and only its position stays hidden.
 * mixing collision: constructs distinct sub-patch sets with the same mean,
   demonstrating that inverting the mix is ill-posed even with the key.
 """
@@ -17,7 +17,6 @@ Three attacks, each matched to what it can and cannot recover:
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,14 +160,14 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     then slot coordinates, so results are deterministic. An entry that is
     NaN or -inf, or +inf off the diagonal, is a DataError.
 
-    Each frontier slot keeps its best (score, patch, relation, slot) key
-    between placements, in a heap for the minimum and in an index by patch.
-    A placement rescores only the empty slots next to it and the slots whose
-    cached pick it used, each with one or more O(n) row adds over contiguous
-    table rows. On natural images that is a few slots per placement (about
-    four at 784 patches, fifteen at 3136), so a solve costs O(n^2) plus the
-    heap work; flat inputs, where every slot wants the same patch, still
-    rescore the whole frontier.
+    Each frontier slot keeps its best (score, patch, relation, slot) key in
+    one heap, checked when it reaches the top: a key its slot has replaced
+    is skipped, a slot the bounding box no longer admits is dropped, and a
+    slot whose cached pick was placed is rescored. Placing a patch raises
+    only the keys that cached it, and keys are unique, so the first key to
+    pass is the minimum. On natural images a placement costs a few O(n)
+    rescores (about three at 784 patches, four at 3136), so a solve is
+    O(n^2); on flat inputs every slot wants one patch and all are rescored.
     """
     d_right, d_below = np.asarray(d_right), np.asarray(d_below)
     n = len(d_right) if d_right.ndim else 0
@@ -238,43 +237,36 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
             if s not in placed and fits(s):
                 yield s
 
-    # frontier: empty slots adjacent to the kernel, bounding box permitting,
-    # each mapped to its cached best key; by_pick: the frontier slots of each
-    # cached pick; heap: every key the frontier held, a key live while the
-    # frontier still holds it; stale: slots to (re)score
-    frontier = {}
-    by_pick = defaultdict(set)
+    # live: each slot's last pushed key; heap: every key pushed, checked when
+    # popped (a placed or dropped slot is never pushed again)
+    live = {}
     heap = []
-    stale = {s for rc in placed for s in open_neighbors(*rc)}
+
+    def push(s):
+        live[s] = key = slot_key(*s)
+        heapq.heappush(heap, key)
+
     # finite entries may sum past the float64 maximum: such a score is +inf,
     # as slot_key expects, and not worth a warning
     with np.errstate(over="ignore"):
+        for s in {s for rc in placed for s in open_neighbors(*rc)}:
+            push(s)
         for _ in range(n - 2):
-            for s in stale:
-                if s in frontier:
-                    by_pick[frontier[s][1]].discard(s)
-                key = slot_key(*s)
-                frontier[s] = key
-                by_pick[key[1]].add(s)
-                heapq.heappush(heap, key)
-            key = heapq.heappop(heap)
-            while frontier.get(key[3:]) is not key:
+            while True:
                 key = heapq.heappop(heap)
+                s = key[3:]
+                if live[s] is not key or not fits(s):
+                    continue  # replaced by a later push, or the box grew past it
+                if not taken[key[1]]:
+                    break  # a free pick keeps its slot's (min, lowest index)
+                push(s)  # its cached pick went elsewhere: rescore
             _, pick, _, r, c = key
-            placed[(r, c)] = pick
-            del frontier[(r, c)]
+            placed[s] = pick
             taken[pick] = np.inf
-            # a slot whose cached pick is still free keeps its (min, lowest index)
-            stale = by_pick.pop(pick)
-            stale.discard((r, c))
-            if not (lo_r <= r <= hi_r and lo_c <= c <= hi_c):
-                # slots leave the frontier only when the box grows
-                lo_r, hi_r = min(lo_r, r), max(hi_r, r)
-                lo_c, hi_c = min(lo_c, c), max(hi_c, c)
-                for s in [s for s in frontier if not fits(s)]:
-                    by_pick[frontier.pop(s)[1]].discard(s)
-                    stale.discard(s)
-            stale.update(open_neighbors(r, c))
+            lo_r, hi_r = min(lo_r, r), max(hi_r, r)
+            lo_c, hi_c = min(lo_c, c), max(hi_c, c)
+            for t in open_neighbors(r, c):
+                push(t)
 
     slots = np.full((rows, cols), -1, dtype=np.int64)
     for (r, c), i in placed.items():

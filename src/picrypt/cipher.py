@@ -280,7 +280,8 @@ def token_rows(grid) -> np.ndarray:
 
 
 def keyspace(n: int) -> int:
-    """Number of distinct shuffling keys for n patches: exactly n!."""
+    """Number of permutations of n patches: exactly n!. Fewer keys can be
+    reached: ``load_key`` accepts only ``gen_key(seed, n)``, so at most 2**64."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return math.factorial(n)

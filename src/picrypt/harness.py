@@ -331,29 +331,30 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
     key_rng = SplitMix64(cfg.seed)
     order_rng = np.random.default_rng(cfg.seed)
     history = []
-    for epoch in range(cfg.epochs):
-        order = order_rng.permutation(n)
-        total_loss = 0.0
-        correct = 0
-        for start in range(0, n, cfg.batch):
-            batch = order[start : start + cfg.batch]
-            for img_i in batch:
-                x = image_vectors(data.train_x[img_i], cfg, key_rng)
-                label = int(data.train_y[img_i])
-                logits = pevit.forward(params, cfg.model, x)
-                if pevit.top_class(logits.data) == label:
-                    correct += 1
-                loss = cross_entropy(logits, label)
-                total_loss += float(loss.data)
-                backward(loss)
-            if len(batch) > 1:  # step on the batch-mean gradient, tail included
-                opt.grad /= len(batch)
-            opt.step()
-        history.append({
-            "epoch": epoch,
-            "loss": total_loss / n,
-            "accuracy": correct / n,
-        })
+    with np.errstate(over="ignore", invalid="ignore"):  # a DataError reports it
+        for epoch in range(cfg.epochs):
+            order = order_rng.permutation(n)
+            total_loss = 0.0
+            correct = 0
+            for start in range(0, n, cfg.batch):
+                batch = order[start : start + cfg.batch]
+                for img_i in batch:
+                    x = image_vectors(data.train_x[img_i], cfg, key_rng)
+                    label = int(data.train_y[img_i])
+                    logits = pevit.forward(params, cfg.model, x)
+                    if pevit.top_class(logits.data) == label:
+                        correct += 1
+                    loss = cross_entropy(logits, label)
+                    total_loss += float(loss.data)
+                    backward(loss)
+                if len(batch) > 1:  # step on the batch-mean gradient, tail included
+                    opt.grad /= len(batch)
+                opt.step()
+            history.append({
+                "epoch": epoch,
+                "loss": total_loss / n,
+                "accuracy": correct / n,
+            })
     if checkpoint is not None:
         if not np.isfinite(opt.data).all():
             raise DataError("trained weights are not all finite; no checkpoint written")
@@ -376,8 +377,9 @@ def predictions(params: dict, cfg: TrainConfig, images: np.ndarray,
     _check_geometry(cfg, images)
     rng = SplitMix64(seed)
     out = np.empty(images.shape[0], dtype=np.int64)
-    for i in range(images.shape[0]):
-        out[i] = pevit.predict(params, cfg.model, image_vectors(images[i], cfg, rng))
+    with np.errstate(over="ignore", invalid="ignore"):  # a DataError reports it
+        for i in range(images.shape[0]):
+            out[i] = pevit.predict(params, cfg.model, image_vectors(images[i], cfg, rng))
     return out
 
 
@@ -391,8 +393,9 @@ def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0) -> dict:
     The image is RS-encrypted, one patch token is pushed through the full
     classifier, and the embedding-weight gradient (rank one: the token
     times the upstream gradient) is inverted by SVD. The recovered
-    direction matches the *encrypted* patch at that slot, not the
-    plaintext one — the attack sees through the model, not the cipher.
+    direction is the ciphertext's slot-0 patch, which under ``rs`` is the
+    plaintext patch ``slot_source`` with its pixels intact: the shuffle
+    hides where that patch was, not what it shows.
     """
     grid = split_patches(Image(pixels=pixels), patch_size, 0)
     key = gen_key(seed, grid.n_patches)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 
 _ids = itertools.count()
 
@@ -221,6 +221,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         )
     mu = _row_means(dx)
     var = _row_means((dx - mu) ** 2)
+    if not np.isfinite(var).all():  # an inf var would normalise its row to 0
+        raise DataError("layer_norm rows have no finite variance (NaN or overflow)")
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (dx - mu) * inv_std
     out = Tensor(grow * xhat + brow, parents=(x, gamma, beta))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import picrypt.harness
 import picrypt.pevit as pevit
 from picrypt.attacks import puzzle_metrics
-from picrypt.cipher import MODES, gen_key, rs_encrypt, token_dim
+from picrypt.cipher import MODES, gen_key, rs_encrypt, token_dim, token_rows
 from picrypt.errors import ConfigError, DataError, GeometryError, KeyMismatchError
 from picrypt.harness import (
     MARKER_SIZE,
@@ -386,6 +386,20 @@ def test_predictions_reject_non_finite_logits():
         predictions(params, cfg, d.train_x)
 
 
+def test_predictions_reject_overflowing_layer_norm():
+    # an embedding of scale 1e200 gives finite tokens whose squared
+    # deviations overflow: layer_norm would map every row to 0 and the
+    # model would still return labels
+    spec = SynthSpec(image_size=32, classes=2, train_per_class=1,
+                     test_per_class=0, seed=1)
+    d = gen_dataset(spec)
+    params = pevit.init_params(TINY_MODEL, seed=0)
+    w = params["embed.w"].data
+    w[...] = np.random.default_rng(0).standard_normal(w.shape) * 1e200
+    with pytest.raises(DataError, match="variance"):
+        predictions(params, tiny_cfg(), d.train_x)
+
+
 def test_accuracy_identical_across_shuffle_seeds():
     spec = SynthSpec(image_size=32, classes=2, train_per_class=4,
                      test_per_class=0, seed=1)
@@ -476,6 +490,9 @@ def test_gradleak_demo_recovers_ciphertext_only():
     assert out["corr_cipher"] > 1.0 - 1e-9
     assert abs(out["corr_plain"]) < 0.9
     assert out["recovered"].shape == (768,)
+    # under rs the recovered patch is a plaintext patch, pixels intact
+    plain = token_rows(split_patches(Image(pixels=img), 16, 0))[out["slot_source"]]
+    assert np.max(np.abs(out["recovered"] - plain / np.linalg.norm(plain))) < 1e-8
 
 
 # ---------------------------------------------------------------- leakage

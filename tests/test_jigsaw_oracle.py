@@ -11,9 +11,9 @@ a one-row or one-column grid could be seeded with a pair it cannot hold.
 ``scan_place`` is ``place`` as it was before its frontier was indexed: it
 keeps the cached keys but gathers the free patches' scores and scans the
 whole frontier for the minimum. It is fast enough to check ``place`` on
-784-patch grids, where the full rescore is not. ``broadcast_tables`` is the
-one-shot (n, n, edge) form of ``seam_tables``, which ``seam_tables`` must
-match bit for bit.
+784- and 3136-patch grids, where the full rescore is not.
+``broadcast_tables`` is the one-shot (n, n, edge) form of ``seam_tables``,
+which ``seam_tables`` must match bit for bit.
 """
 
 import warnings
@@ -341,6 +341,15 @@ def corpus_tables(ps, interval, drop_ratio, seed):
 def test_place_matches_scan_place_at_p8(interval, drop_ratio, seed):
     # P=8 grids of up to 784 patches, too many for the full-rescore oracle
     (d_right, d_below), rows, cols = corpus_tables(8, interval, drop_ratio, seed)
+    want = scan_place(d_right, d_below, rows, cols)
+    assert np.array_equal(place(d_right, d_below, rows, cols).slots, want.slots)
+
+
+def test_place_matches_scan_place_at_p4():
+    # 3136 patches: many frontier slots cache the same pick, so the most
+    # keys go stale between being pushed and reaching the top of the heap
+    (d_right, d_below), rows, cols = corpus_tables(4, 0, 0.0, 5)
+    assert len(d_right) == 3136
     want = scan_place(d_right, d_below, rows, cols)
     assert np.array_equal(place(d_right, d_below, rows, cols).slots, want.slots)
 

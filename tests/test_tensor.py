@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from picrypt.errors import ConfigError, PicryptError, ShapeError
+from picrypt.errors import ConfigError, DataError, PicryptError, ShapeError
 from picrypt.tensor import (
     CHECKPOINT_MAGIC,
     LAYER_NORM_EPS,
@@ -168,6 +168,17 @@ def test_layer_norm_standardizes_rows():
     # population variance with eps=1e-5 folded into the denominator
     v = (x.var(axis=1) / (x.var(axis=1) + LAYER_NORM_EPS))
     assert np.max(np.abs(out.var(axis=1) - v)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [1e200, np.inf, np.nan])
+def test_layer_norm_rejects_non_finite_variance(bad):
+    # a finite 1e200 entry squares past the float64 maximum: an inf
+    # variance would normalise its row to 0 instead of failing
+    x = np.ones((3, 4))
+    x[1, 2] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DataError, match="variance"):
+            layer_norm(t(x), t(np.ones(4)), t(np.zeros(4)))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 17])
