@@ -16,7 +16,9 @@ Three attacks, each matched to what it can and cannot recover:
 
 from __future__ import annotations
 
+import contextvars
 import heapq
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,19 +60,42 @@ def _norm_patch(p: np.ndarray) -> np.ndarray:
 
 
 # seam table entries filled per step. A step of rows = _TABLE_BLOCK // n
-# rows holds two (8, rows, n) float64 buffers, the eight partial sums and
-# one group of squared differences, at most 0.8 MB each whatever n is (of
-# the sizes timed on a 2-core Xeon, the fastest at 784 and 3136 patches)
+# rows holds two (8, rows, n) float64 buffers per table (its partial sums
+# and one group of squared differences), at most 0.8 MB each whatever n is
+# (of the sizes timed on a 2-core Xeon, the fastest at 784 and 3136 patches)
 _TABLE_BLOCK = 12544
 
 # most patches one solve takes: ``place`` holds four n x n float64 tables
-# (the two seam tables and contiguous copies of their transposes), 512 MiB
-# at this bound (3136 patches, a 224^2 image at P=4, need 300 MiB)
+# (the two seam tables and contiguous copies of their transposes, each pair
+# filled on two threads), 512 MiB at this bound (3136 patches need 300 MiB)
 MAX_SOLVE_PATCHES = 4096
 
 # numpy's pairwise summation: runs shorter than this are summed in eight
 # interleaved partials, longer ones are halved first
 _PAIRWISE_BLOCK = 128
+
+
+def _both(f, a, b):
+    """``f(*a)`` on a second thread, in a copy of this thread's context (so
+    numpy's errstate), while this one runs ``f(*b)``; joined, and its
+    exception raised, before this returns. Callers allocate what ``f`` fills:
+    a worker that allocates gets a malloc arena of its own, and more RSS."""
+    failed = []
+
+    def work():
+        try:
+            f(*a)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,))
+    worker.start()
+    try:
+        f(*b)
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _pairwise_ssd(a, b, out, part, sq):
@@ -119,7 +144,9 @@ def seam_tables(stack: np.ndarray):
     no patch is its own neighbor. Filled a block of rows at a time by
     whole-row elementwise ops over the edge vectors, summed in the order of
     numpy's pairwise sum, so the values are bit-identical to a one-shot
-    (n, n, edge) broadcast and ``.sum(axis=2)``.
+    (n, n, edge) broadcast and ``.sum(axis=2)``. A second thread fills
+    D_right while this one fills D_below, each with its own scratch; an
+    entry's ops and their order do not change, so neither do its bits.
     """
     n = stack.shape[0]
 
@@ -131,13 +158,15 @@ def seam_tables(stack: np.ndarray):
     d_right = np.empty((n, n))
     d_below = np.empty((n, n))
     rows = max(1, _TABLE_BLOCK // max(n, 1))
-    part = np.empty((8, min(rows, n), n))
-    sq = np.empty_like(part)
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        scratch = part[:, :hi - lo], sq[:, :hi - lo]
-        _pairwise_ssd(last_col[:, lo:hi], first_col, d_right[lo:hi], *scratch)
-        _pairwise_ssd(last_row[:, lo:hi], first_row, d_below[lo:hi], *scratch)
+    block = (8, min(rows, n), n)
+
+    def fill(a, b, out, part, sq):
+        for lo in range(0, n, rows):
+            hi = min(n, lo + rows)
+            _pairwise_ssd(a[:, lo:hi], b, out[lo:hi], part[:, :hi - lo], sq[:, :hi - lo])
+
+    _both(fill, (last_col, first_col, d_right, np.empty(block), np.empty(block)),
+          (last_row, first_row, d_below, np.empty(block), np.empty(block)))
     np.fill_diagonal(d_right, np.inf)
     np.fill_diagonal(d_below, np.inf)
     return d_right, d_below
@@ -168,6 +197,7 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     pass is the minimum. On natural images a placement costs a few O(n)
     rescores (about three at 784 patches, four at 3136), so a solve is
     O(n^2); on flat inputs every slot wants one patch and all are rescored.
+    The tables' contiguous transposes are copied on two threads, one each.
     """
     d_right, d_below = np.asarray(d_right), np.asarray(d_below)
     n = len(d_right) if d_right.ndim else 0
@@ -204,8 +234,10 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     # per relation, the table whose row q scores a slot next to placed q:
     # the rows of d_right/d_below, then their columns, read as the rows of
     # contiguous transposes
-    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, np.ascontiguousarray(d_right.T),
-                                   np.ascontiguousarray(d_below.T))))
+    left = np.empty((n, n), d_right.dtype)
+    above = np.empty((n, n), d_below.dtype)
+    _both(np.copyto, (left, d_right.T), (above, d_below.T))
+    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, left, above)))
     buf = np.empty(n)
 
     def fits(s):

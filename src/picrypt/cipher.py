@@ -91,7 +91,8 @@ def gen_key(seed: int, n: int) -> PermutationKey:
     Walks i = n-1 down to 1, drawing j uniformly from [0, i] off one
     SplitMix64 stream, so a (seed, n) pair always yields the same key. The
     n-1 draws come as one block (bounds n, n-1, ..., 2); only the swaps
-    run one at a time.
+    run one at a time. n < 1 is a programmer error (ValueError): every
+    caller passes a grid's patch count or a key file's checked n.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -162,7 +163,8 @@ def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
     at half-patch granularity so that content crosses patch boundaries
     before being averaged again, otherwise repeated rounds would never mix
     anything new. Intermediate grids stay real-valued throughout; nothing
-    is re-quantized between rounds.
+    is re-quantized between rounds. rounds < 1 is a programmer error
+    (ValueError): parse_mode bounds the rounds of a setting.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
@@ -281,7 +283,8 @@ def token_rows(grid) -> np.ndarray:
 
 def keyspace(n: int) -> int:
     """Number of permutations of n patches: exactly n!. Fewer keys can be
-    reached: ``load_key`` accepts only ``gen_key(seed, n)``, so at most 2**64."""
+    reached: ``load_key`` accepts only ``gen_key(seed, n)``, so at most 2**64.
+    n < 0 is a programmer error (ValueError): the CLI bounds ``--n``."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     return math.factorial(n)
@@ -294,7 +297,9 @@ def drop_patches(grid: PatchGrid, ratio: float, seed: int) -> PatchGrid:
     stream seeded with ``seed``: position k swaps index k with a uniform
     pick from [k, n), and the first floor(ratio * n) indices become holes.
     The k draws come as one block (bounds n, n-1, ..., n-k+1). A hole's
-    pixels are zeroed, so no dropped byte stays in the grid.
+    pixels are zeroed, so no dropped byte stays in the grid. A ratio
+    outside [0, 1) is a programmer error (ValueError): TrainConfig and
+    SweepCell bound drop_ratio.
     """
     if not 0.0 <= ratio < 1.0:
         raise ValueError(f"ratio must be in [0, 1), got {ratio}")

@@ -73,6 +73,12 @@ class SynthSpec:
             raise ConfigError(f"image_size must be in 16..{MAX_IMAGE_SIZE}")
         _check_corpus(self.classes * (self.train_per_class + self.test_per_class),
                       self.image_size)
+        _check_seed(self.seed)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:  # what SplitMix64 and numpy both accept
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
 
 
 def _check_corpus(images: int, side: int) -> None:
@@ -222,6 +228,7 @@ class TrainConfig:
             raise ConfigError("drop_ratio is only supported for none/rs settings")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+        _check_seed(self.seed)
 
 
 def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.ndarray:

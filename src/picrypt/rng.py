@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -39,13 +41,15 @@ _U64_LOW32 = _u64(_BOUND_LIMIT - 1)
 
 
 class SplitMix64:
-    """Sequential stream of 64-bit words from a 64-bit seed."""
+    """Sequential stream of 64-bit words from a 64-bit seed; seeds come from
+    flags and config files, so one outside [0, 2**64) is an input error
+    (ConfigError)."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
         self.state = seed
 
     def next_u64(self) -> int:
@@ -59,7 +63,8 @@ class SplitMix64:
         """Uniform integer in [0, n), unbiased via rejection sampling.
 
         Multiplies a raw 64-bit word by n and keeps the high 64 bits; draws
-        whose low word falls in the biased remainder zone are rejected.
+        whose low word falls in the biased remainder zone are rejected. n <= 0
+        is a programmer error (ValueError).
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -79,7 +84,8 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def next_u64_block(self, k: int) -> np.ndarray:
-        """The next k words as one uint64 array; the state advances by k."""
+        """The next k words as one uint64 array; the state advances by k.
+        k < 0 is a programmer error (ValueError)."""
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         z = np.arange(1, k + 1, dtype=np.uint64) * _U64_GAMMA + _u64(self.state)
@@ -90,7 +96,8 @@ class SplitMix64:
 
     def next_below_block(self, bounds) -> np.ndarray:
         """``[next_below(b) for b in bounds]`` as a 1-D int64 array, each
-        bound in [1, 2**32), leaving the same state as those calls."""
+        bound in [1, 2**32), leaving the same state as those calls. A bound
+        outside that range is a programmer error (ValueError)."""
         bounds = np.asarray(bounds).ravel()
         if bounds.size and not (1 <= bounds.min() and bounds.max() < _BOUND_LIMIT):
             raise ValueError(f"bounds must be in [1, {_BOUND_LIMIT}), "

@@ -445,6 +445,20 @@ def test_train_spn_rounds_above_bound_is_config_error(tmp_path, capsys):
     assert "spn rounds must be in 1..16" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["data.seed", "train.seed"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_train_seed_outside_64_bits_is_config_error(monkeypatch, tmp_path, capsys, key, seed):
+    # rejected with the config: not numpy's ValueError, nor SplitMix64's
+    # after a dataset is drawn
+    no_drawing(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + f"{key} = {seed}\n")
+    ckpt = tmp_path / "m.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+    assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_model_above_bound_is_config_error(monkeypatch, tmp_path, capsys):
     # rejected with the config, before any image is drawn or weight allocated
     no_drawing(monkeypatch)

@@ -726,6 +726,15 @@ def test_config_specs_bool_words():
         config_specs({"model.rpe": "yes"})
 
 
+@pytest.mark.parametrize("key", ["data.seed", "train.seed"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_config_specs_reject_seeds_outside_64_bits(key, seed):
+    with pytest.raises(ConfigError, match="seed must be in"):
+        config_specs({key: str(seed)})
+    spec, cfg = config_specs({key: str((1 << 64) - 1)})
+    assert (1 << 64) - 1 in (spec.seed, cfg.seed)
+
+
 def test_config_specs_empty_is_dataclass_defaults():
     spec, cfg = config_specs({})
     assert spec == SynthSpec()

@@ -16,6 +16,8 @@ whole frontier for the minimum. It is fast enough to check ``place`` on
 which ``seam_tables`` must match bit for bit.
 """
 
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import picrypt.attacks
 from picrypt.attacks import (
     _NEIGHBORS,
     _TABLE_BLOCK,
@@ -34,7 +37,7 @@ from picrypt.attacks import (
     seam_tables,
 )
 from picrypt.cipher import drop_patches, gen_key, rs_encrypt
-from picrypt.errors import GeometryError
+from picrypt.errors import DataError, GeometryError
 from picrypt.harness import gen_puzzle_corpus
 from picrypt.imgio import Image, split_patches
 from picrypt.rng import SplitMix64
@@ -388,3 +391,125 @@ def test_place_overflowing_sums_do_not_warn(n, side):
         warnings.simplefilter("error")
         got = place(d_right, d_below, side, side)
     assert np.array_equal(got.slots, want.slots)
+
+
+# ---------------------------------------------------------------- threads
+# seam_tables fills its two tables, and place copies its two transposes, on
+# two threads: the calling one and a worker joined before the call returns
+
+
+def failing_on(fn, where):
+    """``fn``, except that a call on the ``where`` thread ("main" or
+    "worker") raises RuntimeError."""
+    def wrapped(*args, **kwargs):
+        main = threading.current_thread() is threading.main_thread()
+        if main == (where == "main"):
+            raise RuntimeError(f"{where} half failed")
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+def shuffled_stack(n=12, side=4):
+    return np.random.default_rng(n).random((n, side, side, 3))
+
+
+@pytest.mark.parametrize("where", ["worker", "main"])
+def test_seam_tables_raise_a_failed_half(monkeypatch, where):
+    monkeypatch.setattr(picrypt.attacks, "_pairwise_ssd",
+                        failing_on(picrypt.attacks._pairwise_ssd, where))
+    stack = shuffled_stack()
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{where} half failed"):
+        seam_tables(stack)
+    with pytest.raises(RuntimeError, match=f"{where} half failed"):
+        jigsaw_solve(stack, 3, 4)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("where", ["worker", "main"])
+def test_place_raises_a_failed_transpose(monkeypatch, where):
+    tables = seam_tables(shuffled_stack())
+    monkeypatch.setattr(np, "copyto", failing_on(np.copyto, where))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{where} half failed"):
+        place(*tables, 3, 4)
+    with pytest.raises(RuntimeError, match=f"{where} half failed"):
+        jigsaw_solve(shuffled_stack(), 3, 4)
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_solve():
+    stack = shuffled_stack()
+    before = threading.active_count()
+    tables = seam_tables(stack)
+    assert threading.active_count() == before
+    place(*tables, 3, 4)
+    assert threading.active_count() == before
+    jigsaw_solve(stack, 3, 4)
+    assert threading.active_count() == before
+    with pytest.raises(DataError):
+        place(np.full((12, 12), np.nan), tables[1], 3, 4)
+    assert threading.active_count() == before
+
+
+def test_seam_tables_under_fast_thread_switching():
+    # the halves share no array they write, so no switch order moves a bit
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n, side in ((40, 2), (300, 3)):
+            stack = shuffled_stack(n, side)
+            got, want = seam_tables(stack), broadcast_tables(stack)
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
+            assert place(*got, 20, 20).slots.tobytes() == scan_place(*want, 20, 20).slots.tobytes()
+    finally:
+        sys.setswitchinterval(old)
+
+
+def overflowing_stack():
+    # finite values whose squared edge differences overflow in both tables
+    return np.random.default_rng(6).uniform(-1e200, 1e200, size=(12, 3, 3, 2))
+
+
+def serial_both(f, a, b):
+    """``attacks._both`` without the thread: both halves here, in order."""
+    f(*a)
+    f(*b)
+
+
+def test_seam_tables_worker_keeps_the_callers_errstate():
+    stack = overflowing_stack()
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = seam_tables(stack)
+        want = broadcast_tables(stack)
+        with pytest.raises(DataError):  # the tables' off-diagonal infs
+            jigsaw_solve(stack, 3, 4)
+    for g, w in zip(got, want):
+        assert np.isinf(g[~np.eye(12, dtype=bool)]).any()
+        assert g.tobytes() == w.tobytes()
+
+
+def test_seam_tables_warn_as_the_serial_halves(monkeypatch):
+    # without an errstate, each half warns as it would on one thread
+    stack = overflowing_stack()
+
+    def run():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tables = seam_tables(stack)
+        return tables, sorted((w.category.__name__, str(w.message), w.filename, w.lineno)
+                              for w in caught)
+
+    got, got_warnings = run()
+    before = threading.active_count()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            seam_tables(stack)
+    assert threading.active_count() == before
+    monkeypatch.setattr(picrypt.attacks, "_both", serial_both)
+    want, want_warnings = run()
+    assert got_warnings == want_warnings
+    assert {w[1] for w in got_warnings} == {"overflow encountered in multiply"}
+    assert [t.tobytes() for t in got] == [t.tobytes() for t in want]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from picrypt.errors import ConfigError
 from picrypt.rng import SplitMix64
 
 
@@ -38,9 +39,10 @@ def test_words_are_64_bit():
 
 
 def test_seed_must_fit_64_bits():
-    with pytest.raises(ValueError):
+    # a seed comes from a flag or a config file: an input error
+    with pytest.raises(ConfigError):
         SplitMix64(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         SplitMix64(1 << 64)
     SplitMix64((1 << 64) - 1)  # boundary is fine
 
