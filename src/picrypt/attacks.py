@@ -65,9 +65,9 @@ def _norm_patch(p: np.ndarray) -> np.ndarray:
 # (of the sizes timed on a 2-core Xeon, the fastest at 784 and 3136 patches)
 _TABLE_BLOCK = 12544
 
-# most patches one solve takes: ``place`` holds four n x n float64 tables
-# (the two seam tables and contiguous copies of their transposes, each pair
-# filled on two threads), 512 MiB at this bound (3136 patches need 300 MiB)
+# most patches one solve takes: ``seam_tables`` returns four n x n float64
+# tables (the two seam tables and contiguous copies of their transposes),
+# 512 MiB at this bound (3136 patches need 300 MiB)
 MAX_SOLVE_PATCHES = 4096
 
 # numpy's pairwise summation: runs shorter than this are summed in eight
@@ -137,16 +137,19 @@ def _pairwise_ssd(a, b, out, part, sq):
         out += sq[0]
 
 
-def seam_tables(stack: np.ndarray):
-    """D_right[i, j] = cost of j right of i; D_below[i, j] = j below i.
+def seam_tables(stack: np.ndarray) -> np.ndarray:
+    """(4, n, n) relation tables: right, below, left, above.
 
-    ``stack`` is an (n, P, P, C) float64 array; the diagonals are inf, so
-    no patch is its own neighbor. Filled a block of rows at a time by
+    ``tables[0][i, j]`` is the cost of j right of i, ``tables[1][i, j]`` of
+    j below i, and tables 2 and 3 are exact copies of their transposes, so
+    row q of ``tables[r]`` scores every patch in relation r to patch q.
+    ``stack`` is an (n, P, P, C) float64 array; the diagonals are inf, so no
+    patch is its own neighbor. Filled a block of rows at a time by
     whole-row elementwise ops over the edge vectors, summed in the order of
     numpy's pairwise sum, so the values are bit-identical to a one-shot
-    (n, n, edge) broadcast and ``.sum(axis=2)``. A second thread fills
-    D_right while this one fills D_below, each with its own scratch; an
-    entry's ops and their order do not change, so neither do its bits.
+    (n, n, edge) broadcast and ``.sum(axis=2)``. A second thread fills the
+    right table and its transpose while this one fills the below pair, each
+    with its own scratch; no entry's ops or their order change.
     """
     n = stack.shape[0]
 
@@ -155,21 +158,20 @@ def seam_tables(stack: np.ndarray):
 
     last_col, first_col = edge(stack[:, :, -1, :]), edge(stack[:, :, 0, :])
     last_row, first_row = edge(stack[:, -1, :, :]), edge(stack[:, 0, :, :])
-    d_right = np.empty((n, n))
-    d_below = np.empty((n, n))
+    tables = np.empty((4, n, n))
     rows = max(1, _TABLE_BLOCK // max(n, 1))
     block = (8, min(rows, n), n)
 
-    def fill(a, b, out, part, sq):
+    def fill(a, b, out, out_t, part, sq):
         for lo in range(0, n, rows):
             hi = min(n, lo + rows)
             _pairwise_ssd(a[:, lo:hi], b, out[lo:hi], part[:, :hi - lo], sq[:, :hi - lo])
+        np.copyto(out_t, out.T)
 
-    _both(fill, (last_col, first_col, d_right, np.empty(block), np.empty(block)),
-          (last_row, first_row, d_below, np.empty(block), np.empty(block)))
-    np.fill_diagonal(d_right, np.inf)
-    np.fill_diagonal(d_below, np.inf)
-    return d_right, d_below
+    _both(fill, (last_col, first_col, tables[0], tables[2], np.empty(block), np.empty(block)),
+          (last_row, first_row, tables[1], tables[3], np.empty(block), np.empty(block)))
+    tables[:, np.arange(n), np.arange(n)] = np.inf
+    return tables
 
 
 # neighbor offsets of a slot, in the pinned relation order right/below/left/above;
@@ -177,17 +179,17 @@ def seam_tables(stack: np.ndarray):
 _NEIGHBORS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
-def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
+def place(tables, rows: int, cols: int) -> Arrangement:
     """Greedy kernel-growing placement of n patches given their seam tables.
 
-    ``d_right`` and ``d_below`` are n x n tables as ``seam_tables`` returns
-    them; slots of the result hold table indices, and the tables are not
-    changed. Seeds with the globally minimal pair, then repeatedly places
-    the unplaced patch with the smallest cost summed over its already-placed
-    neighbors, keeping the kernel's bounding box within rows x cols. Ties
-    break by lower patch index, then relation order right/below/left/above,
-    then slot coordinates, so results are deterministic. An entry that is
-    NaN or -inf, or +inf off the diagonal, is a DataError.
+    ``tables`` is a (4, n, n) stack as ``seam_tables`` returns it; slots of
+    the result hold table indices, and the tables are not changed. Seeds
+    with the globally minimal pair, then repeatedly places the unplaced
+    patch with the smallest cost summed over its already-placed neighbors,
+    keeping the kernel's bounding box within rows x cols. Ties break by
+    lower patch index, then relation order right/below/left/above, then
+    slot coordinates, so results are deterministic. An entry that is NaN or
+    -inf, or +inf off the diagonal, is a DataError.
 
     Each frontier slot keeps its best (score, patch, relation, slot) key in
     one heap, checked when it reaches the top: a key its slot has replaced
@@ -197,15 +199,14 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     pass is the minimum. On natural images a placement costs a few O(n)
     rescores (about three at 784 patches, four at 3136), so a solve is
     O(n^2); on flat inputs every slot wants one patch and all are rescored.
-    The tables' contiguous transposes are copied on two threads, one each.
     """
-    d_right, d_below = np.asarray(d_right), np.asarray(d_below)
-    n = len(d_right) if d_right.ndim else 0
-    if d_right.shape != (n, n) or d_below.shape != (n, n):
-        raise GeometryError(f"seam tables {d_right.shape} and {d_below.shape} are not n x n")
+    tables = np.asarray(tables)
+    n = tables.shape[-1] if tables.ndim else 0
+    if tables.shape != (4, n, n):
+        raise GeometryError(f"seam tables {tables.shape} are not n x n, in a (4, n, n) stack")
     if not 2 <= n <= rows * cols or rows < 1 or cols < 1:
         raise GeometryError(f"{n} patches: a placement needs 2 to {rows}x{cols}")
-    for table in (d_right, d_below):
+    for table in tables:
         # a placed patch scores +inf below: -inf + inf would be NaN
         finite = np.isfinite(table)
         np.fill_diagonal(finite, finite.diagonal() | (table.diagonal() == np.inf))
@@ -214,15 +215,11 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
 
     # seed: minimal pair over the relations the grid can hold (a one-row or
     # one-column grid admits only one); tie key (score, i, j, relation)
-    best = None
-    for rank, (table, room) in enumerate(((d_right, cols > 1), (d_below, rows > 1))):
-        if not room:
-            continue
-        ii, jj = np.unravel_index(np.argmin(table), table.shape)
-        key = (table.min(), int(ii), int(jj), rank)
-        if best is None or key < best:
-            best = key
-    _, si, sj, srel = best
+    def seed_key(rank):
+        i, j = np.unravel_index(np.argmin(tables[rank]), (n, n))
+        return tables[rank, i, j], int(i), int(j), rank
+
+    _, si, sj, srel = min(seed_key(r) for r, room in enumerate((cols > 1, rows > 1)) if room)
     placed = {(0, 0): si, _NEIGHBORS[srel]: sj}
     # +inf for a placed patch, 0.0 for a free one: adding it to a score row
     # masks the placed patches, and x + 0.0 is the 0.0 + x of a sum from zero
@@ -230,14 +227,7 @@ def place(d_right, d_below, rows: int, cols: int) -> Arrangement:
     taken[[si, sj]] = np.inf
     lo_r = lo_c = 0
     hi_r, hi_c = _NEIGHBORS[srel]
-
-    # per relation, the table whose row q scores a slot next to placed q:
-    # the rows of d_right/d_below, then their columns, read as the rows of
-    # contiguous transposes
-    left = np.empty((n, n), d_right.dtype)
-    above = np.empty((n, n), d_below.dtype)
-    _both(np.copyto, (left, d_right.T), (above, d_below.T))
-    seams = tuple(zip(_NEIGHBORS, (d_right, d_below, left, above)))
+    seams = tuple(zip(_NEIGHBORS, tables))
     buf = np.empty(n)
 
     def fits(s):
@@ -331,7 +321,7 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
     stack = _norm_patch(patches[idx_map])
     if patches.dtype.kind == "f" and not np.isfinite(stack).all():
         raise DataError("patches hold NaN or inf")
-    found = place(*seam_tables(stack), rows, cols).slots
+    found = place(seam_tables(stack), rows, cols).slots
     return Arrangement(np.where(found >= 0, idx_map[found], -1))
 
 

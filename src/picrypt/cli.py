@@ -158,12 +158,11 @@ def _cmd_keyspace(args) -> int:
 def _cmd_attack_jigsaw(args) -> int:
     img = imgio.load_ppm(args.infile)
     grid = imgio.split_patches(img, args.patch, args.interval)
+    truth = None
+    if args.key:  # checked before the solve: over a second at 3136 patches
+        truth = harness.truth_for_key(cipher.load_key(args.key), grid.rows, grid.cols)
     found = attacks.jigsaw_solve(grid.patches, grid.rows, grid.cols)
-    metrics = None
-    if args.key:
-        key = cipher.load_key(args.key)
-        truth = harness.truth_for_key(key, grid.rows, grid.cols)
-        metrics = attacks.puzzle_metrics(found, truth)
+    metrics = None if truth is None else attacks.puzzle_metrics(found, truth)
     text = attacks.dump_arrangement(found, metrics)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -206,10 +205,8 @@ def _cmd_attack_collision(args) -> int:
 
 def _cmd_train(args) -> int:
     spec, cfg = harness.config_specs(harness.load_config(args.config))
+    harness.check_geometry(cfg, (spec.image_size, spec.image_size, 3))
     data = harness.gen_dataset(spec)
-    if data.test_x.shape[0] == 0:
-        # checked before training, so a run that cannot report writes no checkpoint
-        raise DataError("data.test_per_class = 0: no test images to evaluate")
     params, history = harness.train(cfg, data, checkpoint=args.out)
     for row in history:
         print(f"epoch={row['epoch']} loss={row['loss']:.6f} "
@@ -235,8 +232,7 @@ def _check_checkpoint(params: dict, model: pevit.ModelConfig) -> None:
 
 def _cmd_eval(args) -> int:
     spec, cfg = harness.config_specs(harness.load_config(args.config))
-    if spec.test_per_class == 0:
-        raise DataError("data.test_per_class = 0: no images to evaluate")
+    harness.check_geometry(cfg, (spec.image_size, spec.image_size, 3))
     params = load_checkpoint(args.ckpt)
     _check_checkpoint(params, cfg.model)
     data = harness.gen_dataset(spec)

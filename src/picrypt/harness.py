@@ -304,9 +304,10 @@ class Adam:
         self.grad.fill(0.0)
 
 
-def _check_geometry(cfg: TrainConfig, images: np.ndarray) -> None:
-    rows, cols = grid_shape(images.shape[1], images.shape[2], cfg.patch_size, cfg.interval)
-    want = token_dim(cfg.encryption, cfg.patch_size, images.shape[3])
+def check_geometry(cfg: TrainConfig, shape: tuple) -> None:
+    """Raise unless (height, width, channels) images fit ``cfg``'s tokens."""
+    rows, cols = grid_shape(shape[0], shape[1], cfg.patch_size, cfg.interval)
+    want = token_dim(cfg.encryption, cfg.patch_size, shape[2])
     if cfg.model.patch_dim != want:
         raise ConfigError(
             f"model patch_dim {cfg.model.patch_dim} does not match "
@@ -332,7 +333,7 @@ def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
     n = data.train_x.shape[0]
     if n == 0:
         raise DataError("no training images")
-    _check_geometry(cfg, data.train_x)
+    check_geometry(cfg, data.train_x.shape[1:])
     params = pevit.init_params(cfg.model, seed=cfg.seed)
     opt = Adam(params, lr=cfg.lr)
     key_rng = SplitMix64(cfg.seed)
@@ -381,7 +382,7 @@ def evaluate(params: dict, cfg: TrainConfig, images: np.ndarray,
 def predictions(params: dict, cfg: TrainConfig, images: np.ndarray,
                 seed: int = 0) -> np.ndarray:
     """Predicted labels per image."""
-    _check_geometry(cfg, images)
+    check_geometry(cfg, images.shape[1:])
     rng = SplitMix64(seed)
     out = np.empty(images.shape[0], dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):  # a DataError reports it
@@ -622,8 +623,14 @@ def parse_config_text(text: str) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: byte {raw[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
+    return parse_config_text(text)
 
 
 # config-file key -> (dataclass, field); the key is section.field except
@@ -656,10 +663,14 @@ def config_specs(d: dict) -> tuple:
             raw = d[key]
             try:
                 value = _BOOL[raw.lower()] if type(value) is bool else type(value)(raw)
+                if type(value) is int and abs(value) >> 1024:
+                    raise ValueError  # a check may print a product; str() stops at 4300 digits
             except (ValueError, KeyError):
                 raise ConfigError(f"bad value for {key}: {raw!r}") from None
         kwargs[cls][name] = value
     spec = SynthSpec(**kwargs[SynthSpec])
+    if spec.test_per_class == 0:  # train, eval and sweep all evaluate
+        raise DataError("data.test_per_class = 0: no images to evaluate")
     train_kw = kwargs[TrainConfig]
     model = ModelConfig(
         patch_dim=token_dim(train_kw["encryption"], train_kw["patch_size"], 3),

@@ -235,7 +235,7 @@ def test_criterion_08_jigsaw_attack_asymmetry():
 
     def brute_force_optimum(patches, rows, cols):
         n = len(patches)
-        d_right, d_below = (t.tolist() for t in seam_tables(np.stack(patches) / 255.0))
+        d_right, d_below = (t.tolist() for t in seam_tables(np.stack(patches) / 255.0)[:2])
         best, second = None, None
         best_order = None
         for order in itertools.permutations(range(n)):

@@ -25,6 +25,7 @@ from picrypt.errors import ConfigError, DataError, GeometryError, ShapeError
 from picrypt.harness import truth_for_key
 from picrypt.imgio import Image, split_patches
 from picrypt.rng import SplitMix64
+from test_jigsaw_oracle import relation_tables
 
 
 def identity_arrangement(rows, cols, indices=None):
@@ -93,7 +94,7 @@ def test_identity_arrangement_row_major():
 
 def seam_pair(a, b):
     """(right, below) seam costs of b right of a and b below a, on [0, 1] pixels."""
-    d_right, d_below = seam_tables(np.stack([a, b]) / 255.0)
+    d_right, d_below = seam_tables(np.stack([a, b]) / 255.0)[:2]
     return d_right[0, 1], d_below[0, 1]
 
 
@@ -161,7 +162,7 @@ def test_jigsaw_brute_force_2x2():
     pixels = smooth_image(16, seed=1)
     patches = patches_of(pixels, 8)
 
-    d_right, d_below = seam_tables(np.stack(patches) / 255.0)
+    d_right, d_below = seam_tables(np.stack(patches) / 255.0)[:2]
 
     def total_cost(order):
         # order[slot] = patch; slots row-major in a 2x2 grid
@@ -234,29 +235,29 @@ def test_jigsaw_one_row_and_one_column_grids():
 
 
 def test_place_rejects_tables_that_are_not_n_by_n():
-    sq = np.zeros((3, 3))
-    for d_right, d_below in ((sq, np.zeros((4, 4))), (np.zeros((4, 4)), sq),
-                             (np.zeros((3, 4)), np.zeros((3, 4))),
-                             (np.zeros(3), np.zeros(3)), (np.float64(0.0), np.float64(0.0)),
-                             (np.zeros((3, 3, 1)), np.zeros((3, 3, 1)))):
+    # tables that are not square, too few or too many dimensions, and other
+    # than four tables
+    for tables in (np.zeros((4, 3, 4)), np.zeros((4, 4, 3)), np.zeros((4, 3)), np.zeros(3),
+                   np.float64(0.0), np.zeros((4, 3, 3, 1)), np.zeros((2, 3, 3)),
+                   np.zeros((5, 3, 3))):
         with pytest.raises(GeometryError, match="not n x n"):
-            place(d_right, d_below, 2, 2)
+            place(tables, 2, 2)
 
 
 @pytest.mark.parametrize("n, rows, cols",
                          [(0, 2, 2), (1, 2, 2), (5, 2, 2), (3, 1, 2), (2, -1, -2)])
 def test_place_rejects_patch_counts_outside_two_to_slots(n, rows, cols):
     with pytest.raises(GeometryError, match="a placement needs 2"):
-        place(np.zeros((n, n)), np.zeros((n, n)), rows, cols)
+        place(relation_tables(np.zeros((n, n)), np.zeros((n, n))), rows, cols)
 
 
 def test_place_leaves_tables_unchanged():
     patches = patches_of(smooth_image(24, seed=2), 8)
     perm = np.random.default_rng(3).permutation(9)
-    d_right, d_below = seam_tables(np.stack([patches[i] / 255.0 for i in perm]))
-    want = d_right.copy(), d_below.copy()
-    found = place(d_right, d_below, 3, 3)
-    assert np.array_equal(d_right, want[0]) and np.array_equal(d_below, want[1])
+    tables = seam_tables(np.stack([patches[i] / 255.0 for i in perm]))
+    want = tables.copy()
+    found = place(tables, 3, 3)
+    assert np.array_equal(tables, want)
     assert np.array_equal(found.slots, jigsaw_solve([patches[i] for i in perm], 3, 3).slots)
 
 
@@ -275,16 +276,17 @@ def test_jigsaw_rejects_non_finite_float_patches(monkeypatch, bad):
 
 @pytest.mark.parametrize("entry, at", [(np.nan, (0, 1)), (np.nan, (2, 2)), (-np.inf, (1, 0)),
                                        (-np.inf, (3, 3)), (np.inf, (2, 3))])
-@pytest.mark.parametrize("which", ["right", "below"])
+@pytest.mark.parametrize("which", ["right", "below", "left", "above"])
 def test_place_rejects_non_finite_table_entries(entry, at, which):
     # a placed patch scores +inf, and -inf + inf would be NaN; +inf stays
-    # allowed on the diagonal, where seam_tables puts it
-    tables = {"right": np.full((4, 4), 0.5), "below": np.full((4, 4), 0.5)}
-    for table in tables.values():
-        np.fill_diagonal(table, np.inf)
-    tables[which][at] = entry
+    # allowed on the diagonal, where seam_tables puts it; each of the four
+    # tables is checked, not only the right and below ones
+    table = np.full((4, 4), 0.5)
+    np.fill_diagonal(table, np.inf)
+    tables = relation_tables(table, table)
+    tables[["right", "below", "left", "above"].index(which)][at] = entry
     with pytest.raises(DataError, match="seam table"):
-        place(tables["right"], tables["below"], 2, 2)
+        place(tables, 2, 2)
 
 
 # ---------------------------------------------------------------- metrics

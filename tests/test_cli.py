@@ -7,6 +7,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import picrypt.attacks
 import picrypt.cipher
 import picrypt.harness
 import picrypt.pevit
@@ -263,6 +264,31 @@ def test_attack_jigsaw_key_of_wrong_size_is_key_error(tmp_path, capsys, n):
     assert f"key is for {n} patches, grid has 4x4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fault, want", [
+    ("magic", "bad key file magic"),
+    ("perm", "perm does not match"),
+    ("size", "key is for 9 patches, grid has 4x4"),
+])
+def test_attack_jigsaw_checks_the_key_before_solving(monkeypatch, tmp_path, capsys,
+                                                     fault, want):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the key was checked")
+
+    monkeypatch.setattr(picrypt.attacks, "jigsaw_solve", no_solve)
+    write_image(tmp_path / "a.ppm", size=64, seed=8)
+    key = tmp_path / "k.key"
+    picrypt.cipher.save_key(picrypt.cipher.gen_key(3, 9 if fault == "size" else 16), key)
+    if fault == "magic":
+        key.write_text("not a key\n" + key.read_text())
+    elif fault == "perm":
+        lines = key.read_text().splitlines()
+        lines[2] = "seed=4"
+        key.write_text("\n".join(lines) + "\n")
+    assert run(["attack-jigsaw", "--in", str(tmp_path / "a.ppm"),
+                "--patch", "16", "--key", str(key)]) == 2
+    assert want in capsys.readouterr().err
+
+
 def test_attack_jigsaw_writes_file(tmp_path):
     write_image(tmp_path / "a.ppm", seed=5)
     dest = tmp_path / "arr.txt"
@@ -272,7 +298,7 @@ def test_attack_jigsaw_writes_file(tmp_path):
 
 
 def test_attack_jigsaw_above_solver_bound_is_geometry_error(tmp_path, capsys):
-    # 130x130 at P=2 is 65x65 = 4225 patches: two 136 MiB seam tables
+    # 130x130 at P=2 is 65x65 = 4225 patches: four 136 MiB seam tables
     write_image(tmp_path / "a.ppm", size=130, seed=2, channels=1)
     assert run(["attack-jigsaw", "--in", str(tmp_path / "a.ppm"), "--patch", "2"]) == 2
     assert "4225 patches exceed the solver bound" in capsys.readouterr().err
@@ -426,6 +452,34 @@ def test_empty_splits_are_data_errors(tmp_path, capsys):
     save_checkpoint(ckpt, {"w": Tensor(np.ones((2, 2)))})
     assert run(["eval", "--config", str(no_test), "--ckpt", str(ckpt)]) == 2
     assert "no images" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, setting, want", [
+    ("train", "enc.patch_size = 7", "not divisible by patch_size 7"),
+    ("eval", "enc.patch_size = 7", "not divisible by patch_size 7"),
+    ("train", "data.test_per_class = 0", "no images to evaluate"),
+    ("eval", "data.test_per_class = 0", "no images to evaluate"),
+    ("sweep", "data.test_per_class = 0", "no images to evaluate"),
+])
+def test_config_rejected_before_any_corpus(monkeypatch, tmp_path, capsys, verb, setting, want):
+    # a 32x32 image does not split into 7x7 patches, and a run that cannot
+    # evaluate writes nothing: both exit 2 before any image is drawn
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + setting + "\n")
+    # a checkpoint that fits the 7x7 model, so only the geometry can fail
+    odd = TINY_CFG.replace("enc.patch_size = 16", "enc.patch_size = 7")
+    _, odd_cfg = picrypt.harness.config_specs(picrypt.harness.parse_config_text(odd))
+    ckpt = tmp_path / "m.petn"
+    save_checkpoint(ckpt, picrypt.pevit.init_params(odd_cfg.model))
+    argv = {"train": ["train", "--config", str(cfg), "--out", str(tmp_path / "new.petn")],
+            "eval": ["eval", "--config", str(cfg), "--ckpt", str(ckpt)],
+            "sweep": ["sweep", "--image-size", "32", "--images", "1",
+                      "--train-config", str(cfg)]}[verb]
+    calls = counted(monkeypatch, "gen_dataset", "gen_puzzle_corpus", "train")
+    assert run(argv) == 2
+    assert want in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "new.petn").exists()
 
 
 @pytest.mark.parametrize("field,value", [("heads", 0), ("rpe_hidden", 0), ("rpe_hidden", -1)])

@@ -7,14 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import picrypt.harness
 import picrypt.pevit as pevit
 from picrypt.attacks import puzzle_metrics
 from picrypt.cipher import MODES, gen_key, rs_encrypt, token_dim, token_rows
-from picrypt.errors import ConfigError, DataError, GeometryError, KeyMismatchError
+from picrypt.errors import (
+    ConfigError,
+    DataError,
+    GeometryError,
+    KeyMismatchError,
+    PicryptError,
+)
 from picrypt.harness import (
     MARKER_SIZE,
     MAX_CORPUS_BYTES,
@@ -708,6 +714,21 @@ def test_config_specs_defaults_and_overrides(tmp_path):
     assert cfg.model.patch_dim == 768 and cfg.model.n_classes == 2
 
 
+def test_load_config_not_utf8_is_config_error(tmp_path):
+    # the offset counts from the start of the file, past the first 8 KiB read
+    head = b"# padding\n" * 1000 + b"enc.mode = r"
+    path = tmp_path / "c.cfg"
+    path.write_bytes(head + b"\xe9s\n")
+    with pytest.raises(ConfigError, match=f"not UTF-8: byte 0xe9 at offset {len(head)}$"):
+        load_config(path)
+
+
+def test_config_specs_rejects_empty_test_split():
+    # train, eval and sweep all evaluate: rejected with the config
+    with pytest.raises(DataError, match="data.test_per_class = 0: no images to evaluate"):
+        config_specs({"data.test_per_class": "0"})
+
+
 def test_config_specs_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown"):
         config_specs({"data.bogus": "1"})
@@ -800,7 +821,30 @@ def test_config_specs_returns_specs_or_config_error(d):
         spec, cfg = config_specs(d)
     except ConfigError:
         return
+    except DataError:  # the one DataError: an empty test split
+        assert int(d["data.test_per_class"]) == 0
+        return
     for obj in (spec, cfg, cfg.model):  # every field keeps its default's type
         for f in dataclasses.fields(obj):
             if f.default is not dataclasses.MISSING:
                 assert type(getattr(obj, f.name)) is type(f.default), f.name
+
+
+CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(CONFIG_KEYS),
+              CONFIG_VALUES | st.integers().map(str)
+              | st.text("0123456789", min_size=4000, max_size=5000)),
+    st.text(max_size=20).map(lambda line: (line,)),
+).map(" = ".join)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(CONFIG_LINES, max_size=8).map("\n".join))
+@example("enc.patch_size = 1" + "0" * 3999)  # its weight count passed str()'s limit
+def test_config_text_gives_specs_or_a_picrypt_error(text):
+    # any key=value text over the known keys, and any stray line: specs, or
+    # a PicryptError, in bounded time
+    try:
+        config_specs(parse_config_text(text))
+    except PicryptError:
+        pass

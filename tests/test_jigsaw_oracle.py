@@ -12,12 +12,15 @@ a one-row or one-column grid could be seeded with a pair it cannot hold.
 keeps the cached keys but gathers the free patches' scores and scans the
 whole frontier for the minimum. It is fast enough to check ``place`` on
 784- and 3136-patch grids, where the full rescore is not.
-``broadcast_tables`` is the one-shot (n, n, edge) form of ``seam_tables``,
-which ``seam_tables`` must match bit for bit.
+``broadcast_tables`` is the one-shot (n, n, edge) form of the right and
+below tables of ``seam_tables``, which must match it bit for bit.
+``relation_tables`` stacks a right and a below table with their transposes
+into the (4, n, n) form ``place`` reads.
 """
 
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -60,6 +63,11 @@ def broadcast_tables(patches):
     np.fill_diagonal(d_right, np.inf)
     np.fill_diagonal(d_below, np.inf)
     return d_right, d_below
+
+
+def relation_tables(d_right, d_below):
+    """The (4, n, n) right, below, left, above stack ``place`` reads."""
+    return np.stack([d_right, d_below, d_right.T, d_below.T])
 
 
 def reference_jigsaw_solve(patches, rows, cols):
@@ -250,8 +258,11 @@ def test_blocked_tables_equal_broadcast(ps):
             stack = _norm_patch(raw)
             got = seam_tables(stack)
             want = broadcast_tables(stack)
+            assert got.shape == (4, n, n) and got.flags.c_contiguous
             assert np.array_equal(got[0], want[0]), (ps, ch, n)
             assert np.array_equal(got[1], want[1]), (ps, ch, n)
+            assert np.array_equal(got[2], got[0].T), (ps, ch, n)
+            assert np.array_equal(got[3], got[1].T), (ps, ch, n)
 
 
 # ---------------------------------------------------------------- solver
@@ -302,7 +313,7 @@ def test_place_on_broadcast_tables_matches_reference(puzzle):
     assume(len(patches) >= 2)
     stack = np.stack([_norm_patch(p) for p in patches])
     want = dump_arrangement(reference_jigsaw_solve(patches, rows, cols))
-    assert dump_arrangement(place(*broadcast_tables(stack), rows, cols)) == want
+    assert dump_arrangement(place(relation_tables(*broadcast_tables(stack)), rows, cols)) == want
 
 
 def test_random_partial_grid_matches_reference():
@@ -343,26 +354,26 @@ def corpus_tables(ps, interval, drop_ratio, seed):
 @pytest.mark.parametrize("interval", [0, 1])
 def test_place_matches_scan_place_at_p8(interval, drop_ratio, seed):
     # P=8 grids of up to 784 patches, too many for the full-rescore oracle
-    (d_right, d_below), rows, cols = corpus_tables(8, interval, drop_ratio, seed)
-    want = scan_place(d_right, d_below, rows, cols)
-    assert np.array_equal(place(d_right, d_below, rows, cols).slots, want.slots)
+    tables, rows, cols = corpus_tables(8, interval, drop_ratio, seed)
+    want = scan_place(tables[0], tables[1], rows, cols)
+    assert np.array_equal(place(tables, rows, cols).slots, want.slots)
 
 
 def test_place_matches_scan_place_at_p4():
     # 3136 patches: many frontier slots cache the same pick, so the most
     # keys go stale between being pushed and reaching the top of the heap
-    (d_right, d_below), rows, cols = corpus_tables(4, 0, 0.0, 5)
-    assert len(d_right) == 3136
-    want = scan_place(d_right, d_below, rows, cols)
-    assert np.array_equal(place(d_right, d_below, rows, cols).slots, want.slots)
+    tables, rows, cols = corpus_tables(4, 0, 0.0, 5)
+    assert len(tables[0]) == 3136
+    want = scan_place(tables[0], tables[1], rows, cols)
+    assert np.array_equal(place(tables, rows, cols).slots, want.slots)
 
 
 def test_place_matches_scan_place_on_flat_784():
     # every slot wants the same patch, so each placement rescores the frontier
     stack = np.full((784, 8, 8, 3), 0.5)
-    d_right, d_below = seam_tables(stack)
-    want = scan_place(d_right, d_below, 28, 28)
-    assert np.array_equal(place(d_right, d_below, 28, 28).slots, want.slots)
+    tables = seam_tables(stack)
+    want = scan_place(tables[0], tables[1], 28, 28)
+    assert np.array_equal(place(tables, 28, 28).slots, want.slots)
 
 
 def test_place_overflowing_sums_match_scan_place():
@@ -376,7 +387,7 @@ def test_place_overflowing_sums_match_scan_place():
     with np.errstate(over="ignore"):
         assert np.isinf(d_right[0, 1] + d_below[0, 1])
         want = scan_place(d_right, d_below, 5, 5)
-        assert np.array_equal(place(d_right, d_below, 5, 5).slots, want.slots)
+        assert np.array_equal(place(relation_tables(d_right, d_below), 5, 5).slots, want.slots)
 
 
 @pytest.mark.parametrize("n, side", [(16, 4), (25, 5)])
@@ -389,13 +400,13 @@ def test_place_overflowing_sums_do_not_warn(n, side):
         want = scan_place(d_right, d_below, side, side)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = place(d_right, d_below, side, side)
+        got = place(relation_tables(d_right, d_below), side, side)
     assert np.array_equal(got.slots, want.slots)
 
 
 # ---------------------------------------------------------------- threads
-# seam_tables fills its two tables, and place copies its two transposes, on
-# two threads: the calling one and a worker joined before the call returns
+# seam_tables fills its two table-and-transpose pairs on two threads: the
+# calling one and a worker joined before the call returns; place starts none
 
 
 def failing_on(fn, where):
@@ -427,12 +438,11 @@ def test_seam_tables_raise_a_failed_half(monkeypatch, where):
 
 
 @pytest.mark.parametrize("where", ["worker", "main"])
-def test_place_raises_a_failed_transpose(monkeypatch, where):
-    tables = seam_tables(shuffled_stack())
+def test_seam_tables_raise_a_failed_transpose(monkeypatch, where):
     monkeypatch.setattr(np, "copyto", failing_on(np.copyto, where))
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{where} half failed"):
-        place(*tables, 3, 4)
+        seam_tables(shuffled_stack())
     with pytest.raises(RuntimeError, match=f"{where} half failed"):
         jigsaw_solve(shuffled_stack(), 3, 4)
     assert threading.active_count() == before
@@ -443,13 +453,35 @@ def test_no_thread_outlives_a_solve():
     before = threading.active_count()
     tables = seam_tables(stack)
     assert threading.active_count() == before
-    place(*tables, 3, 4)
+    place(tables, 3, 4)
     assert threading.active_count() == before
     jigsaw_solve(stack, 3, 4)
     assert threading.active_count() == before
     with pytest.raises(DataError):
-        place(np.full((12, 12), np.nan), tables[1], 3, 4)
+        place(relation_tables(np.full((12, 12), np.nan), tables[1]), 3, 4)
     assert threading.active_count() == before
+
+
+def test_a_solve_starts_one_thread_and_place_none(monkeypatch):
+    # place reads the four tables it is given: no thread, and no n x n
+    # float64 table of its own (its finiteness masks are n x n bools)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    stack = shuffled_stack(300, 3)
+    jigsaw_solve(stack, 20, 20)
+    assert len(started) == 1
+    tables = seam_tables(stack)
+    started.clear()
+    tracemalloc.start()
+    try:
+        place(tables, 20, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert started == []
+    assert peak < 300 * 300 * 8
 
 
 def test_seam_tables_under_fast_thread_switching():
@@ -460,8 +492,8 @@ def test_seam_tables_under_fast_thread_switching():
         for n, side in ((40, 2), (300, 3)):
             stack = shuffled_stack(n, side)
             got, want = seam_tables(stack), broadcast_tables(stack)
-            assert [t.tobytes() for t in got] == [t.tobytes() for t in want]
-            assert place(*got, 20, 20).slots.tobytes() == scan_place(*want, 20, 20).slots.tobytes()
+            assert [t.tobytes() for t in got] == [t.tobytes() for t in relation_tables(*want)]
+            assert place(got, 20, 20).slots.tobytes() == scan_place(*want, 20, 20).slots.tobytes()
     finally:
         sys.setswitchinterval(old)
 
@@ -485,7 +517,7 @@ def test_seam_tables_worker_keeps_the_callers_errstate():
         want = broadcast_tables(stack)
         with pytest.raises(DataError):  # the tables' off-diagonal infs
             jigsaw_solve(stack, 3, 4)
-    for g, w in zip(got, want):
+    for g, w in zip(got, relation_tables(*want)):
         assert np.isinf(g[~np.eye(12, dtype=bool)]).any()
         assert g.tobytes() == w.tobytes()
 
