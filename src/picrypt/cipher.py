@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, GeometryError, KeyMismatchError
 from .imgio import PatchGrid
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 KEY_MAGIC = "PICRYPT-KEY 1"
 
@@ -260,16 +260,20 @@ def encrypt(grid: PatchGrid, setting: str, draw_seed):
     return shuffled if kind == "rs" else mi_encrypt(shuffled)
 
 
+def mixes(setting: str) -> bool:
+    """Whether ``setting`` mixes quadrants: every setting but none and rs."""
+    return parse_mode(setting)[0] not in ("none", "rs")
+
+
 def token_dim(setting: str, patch_size: int, channels: int) -> int:
     """Width of one model row for ``setting``: a whole patch for none and
     rs, one quadrant mean for every setting that mixes, which needs an
     even patch_size."""
-    kind, _ = parse_mode(setting)
-    mixes = kind not in ("none", "rs")
-    if mixes and patch_size % 2:
-        raise GeometryError(f"patch size must be even to mix quadrants, got {patch_size}")
-    side = patch_size // 2 if mixes else patch_size
-    return side * side * channels
+    if mixes(setting):
+        if patch_size % 2:
+            raise GeometryError(f"patch size must be even to mix quadrants, got {patch_size}")
+        patch_size //= 2
+    return patch_size * patch_size * channels
 
 
 def token_rows(grid) -> np.ndarray:
@@ -356,8 +360,7 @@ def load_key(path) -> PermutationKey:
     # before gen_key, whose cost is set by the file's own n
     if len(perm) != n:
         raise KeyMismatchError(f"perm has {len(perm)} entries, n={n}")
-    if not 0 <= seed < 1 << 64:
-        raise KeyMismatchError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    check_seed(seed, KeyMismatchError)
     expected = gen_key(seed, n)
     if perm != expected.perm:
         raise KeyMismatchError("perm does not match the stated (seed, n)")

@@ -1,7 +1,8 @@
 """Command-line front end: one verb per library workflow.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 internal
-error. Diagnostics go to stderr; results to stdout or to files.
+Exit codes: 0 success, 1 usage error, 2 data/format error (a PicryptError
+or an OS error), 3 internal error (anything else). Diagnostics go to
+stderr; results to stdout or to files.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import attacks, cipher, harness, imgio, pevit
+from . import attacks, cipher, harness, imgio, pevit, rng
 from .errors import ConfigError, DataError, PicryptError
 from .tensor import grad_check, load_checkpoint
 
@@ -27,11 +28,14 @@ class _UsageError(Exception):
 
 
 def _seed(text: str) -> int:
-    # one range for every --seed: the seeds SplitMix64 and numpy both accept
-    seed = int(text)
-    if not 0 <= seed < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {seed}")
-    return seed
+    return rng.check_seed(int(text), argparse.ArgumentTypeError)  # a usage error
+
+
+def _list_of(kind):
+    def parse(text: str) -> list:  # an argparse type, named in its errors
+        return [kind(x) for x in text.split(",")]
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,76 +47,70 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="picrypt", description=__doc__)
     sub = p.add_subparsers(dest="verb", metavar="verb")
+    # flags several verbs share, each defined once
+    image = argparse.ArgumentParser(add_help=False)
+    image.add_argument("--in", dest="infile", required=True)
+    image.add_argument("--patch", type=int, default=16)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=0)
 
-    enc = sub.add_parser("encrypt", help="encrypt a PPM/PGM image")
+    enc = sub.add_parser("encrypt", parents=[image, seeded], help="encrypt a PPM/PGM image")
     enc.add_argument("--mode", required=True,
                      help="none|rs|mi|rs+mi|mi+rs|spn:<rounds>")
-    enc.add_argument("--in", dest="infile", required=True)
     enc.add_argument("--out", required=True)
-    enc.add_argument("--patch", type=int, default=16)
-    enc.add_argument("--seed", type=_seed, default=0)
     enc.add_argument("--key", help="write the permutation key here (rs only)")
 
-    dec = sub.add_parser("decrypt", help="invert an rs encryption with its key")
-    dec.add_argument("--in", dest="infile", required=True)
+    dec = sub.add_parser("decrypt", parents=[image],
+                         help="invert an rs encryption with its key")
     dec.add_argument("--out", required=True)
     dec.add_argument("--key", required=True)
-    dec.add_argument("--patch", type=int, default=16)
 
     ks = sub.add_parser("keyspace", help="count permutations of n patches")
     ks.add_argument("--n", type=int, required=True)
 
-    jig = sub.add_parser("attack-jigsaw", help="solve a shuffled image")
-    jig.add_argument("--in", dest="infile", required=True)
-    jig.add_argument("--patch", type=int, default=16)
+    jig = sub.add_parser("attack-jigsaw", parents=[image], help="solve a shuffled image")
     jig.add_argument("--interval", type=int, default=0)
     jig.add_argument("--key", help="encryption key file, for scoring")
     jig.add_argument("--out", help="write the arrangement here instead of stdout")
 
-    gl = sub.add_parser("attack-gradleak",
-                        help="recover a patch from a single-token gradient")
-    gl.add_argument("--in", dest="infile", required=True)
-    gl.add_argument("--patch", type=int, default=16)
-    gl.add_argument("--seed", type=_seed, default=0)
+    sub.add_parser("attack-gradleak", parents=[image, seeded],
+                   help="recover a patch from a single-token gradient")
 
-    col = sub.add_parser("attack-collision",
+    col = sub.add_parser("attack-collision", parents=[image, seeded],
                          help="construct colliding mixing preimages")
-    col.add_argument("--in", dest="infile", required=True)
-    col.add_argument("--patch", type=int, default=16)
     col.add_argument("--row", type=int, default=0)
     col.add_argument("--col", type=int, default=0)
-    col.add_argument("--seed", type=_seed, default=0)
     col.add_argument("--amplitude", type=float, default=0.25)
 
     tr = sub.add_parser("train", help="train the classifier per a config file")
     tr.add_argument("--config", required=True)
     tr.add_argument("--out", required=True, help="checkpoint path")
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint per a config file")
+    ev = sub.add_parser("eval", parents=[seeded],
+                        help="evaluate a checkpoint per a config file")
     ev.add_argument("--config", required=True)
     ev.add_argument("--ckpt", required=True)
-    ev.add_argument("--seed", type=_seed, default=0)
 
-    lk = sub.add_parser("leakage", help="marker-detection leakage ratio")
+    lk = sub.add_parser("leakage", parents=[seeded], help="marker-detection leakage ratio")
     lk.add_argument("--mode", required=True)
     lk.add_argument("--patch", type=int, default=16)
     lk.add_argument("--images", type=int, default=50)
     lk.add_argument("--image-size", type=int, default=64, dest="image_size")
-    lk.add_argument("--seed", type=_seed, default=0)
 
-    sw = sub.add_parser("sweep", help="security-vs-granularity table")
-    sw.add_argument("--patch", default="16", help="comma-separated patch sizes")
-    sw.add_argument("--interval", default="0", help="comma-separated intervals")
-    sw.add_argument("--drop", default="0.0", help="comma-separated drop ratios")
+    sw = sub.add_parser("sweep", parents=[seeded], help="security-vs-granularity table")
+    sw.add_argument("--patch", type=_list_of(int), default="16",
+                    help="comma-separated patch sizes")
+    sw.add_argument("--interval", type=_list_of(int), default="0",
+                    help="comma-separated intervals")
+    sw.add_argument("--drop", type=_list_of(float), default="0.0",
+                    help="comma-separated drop ratios")
     sw.add_argument("--image-size", type=int, default=224, dest="image_size")
     sw.add_argument("--images", type=int, default=20)
-    sw.add_argument("--seed", type=_seed, default=0)
     sw.add_argument("--train-config", dest="train_config",
                     help="config file enabling the model-accuracy column")
     sw.add_argument("--out", help="write CSV here instead of stdout")
 
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    gc.add_argument("--seed", type=_seed, default=0)
+    gc = sub.add_parser("gradcheck", parents=[seeded], help="finite-difference gradient audit")
     gc.add_argument("--entries", type=int, default=1000)
 
     return p
@@ -146,6 +144,15 @@ def _cmd_decrypt(args) -> int:
     return 0
 
 
+def _write_out(text: str, path) -> None:
+    """Write ``text`` to ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_keyspace(args) -> int:
     if not 0 <= args.n <= MAX_KEYSPACE_N:
         raise _UsageError(f"--n must be in 0..{MAX_KEYSPACE_N}")
@@ -163,12 +170,7 @@ def _cmd_attack_jigsaw(args) -> int:
         truth = harness.truth_for_key(cipher.load_key(args.key), grid.rows, grid.cols)
     found = attacks.jigsaw_solve(grid.patches, grid.rows, grid.cols)
     metrics = None if truth is None else attacks.puzzle_metrics(found, truth)
-    text = attacks.dump_arrangement(found, metrics)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(attacks.dump_arrangement(found, metrics), args.out)
     return 0
 
 
@@ -257,30 +259,13 @@ def _cmd_leakage(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        patches = [int(x) for x in args.patch.split(",")]
-        intervals = [int(x) for x in args.interval.split(",")]
-        drops = [float(x) for x in args.drop.split(",")]
-    except ValueError as e:
-        raise _UsageError(f"bad sweep list: {e}") from None
-    cells = [
-        harness.SweepCell(patch_size=p, interval=i, drop_ratio=d,
-                          image_size=args.image_size)
-        for p, i, d in itertools.product(patches, intervals, drops)
-    ]
-    train_spec = train_base = None
-    if args.train_config:
-        train_spec, train_base = harness.config_specs(
-            harness.load_config(args.train_config)
-        )
+    cells = [harness.SweepCell(patch_size=p, interval=i, drop_ratio=d, image_size=args.image_size)
+             for p, i, d in itertools.product(args.patch, args.interval, args.drop)]
+    training = (harness.config_specs(harness.load_config(args.train_config))
+                if args.train_config else None)
     rows = harness.sweep(cells, seed=args.seed, corpus_size=args.images,
-                         train_spec=train_spec, train_base=train_base)
-    text = harness.sweep_to_csv(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+                         training=training)
+    _write_out(harness.sweep_to_csv(rows), args.out)
     return 0
 
 
@@ -330,18 +315,12 @@ def run(argv) -> int:
             parser.print_usage(sys.stderr)
             return 1
         return _COMMANDS[args.verb](args)
-    except _UsageError as e:
-        print(f"picrypt: {e}", file=sys.stderr)
-        return 1
     except SystemExit as e:
         # argparse --help exits 0; anything else is usage
         return 0 if e.code == 0 else 1
-    except PicryptError as e:
+    except (_UsageError, PicryptError, OSError) as e:
         print(f"picrypt: {e}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as e:
-        print(f"picrypt: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, _UsageError) else 2
     except Exception as e:  # pragma: no cover - safety net
         print(f"picrypt: internal error: {e}", file=sys.stderr)
         return 3

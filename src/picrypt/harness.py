@@ -20,6 +20,7 @@ from .cipher import (
     drop_patches,
     encrypt,
     gen_key,
+    mixes,
     quantize_mixed,
     rs_encrypt,
     token_dim,
@@ -28,7 +29,7 @@ from .cipher import (
 from .errors import ConfigError, DataError, KeyMismatchError
 from .imgio import Image, assemble, grid_shape, split_patches
 from .pevit import ModelConfig
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 from .tensor import backward, cross_entropy, save_checkpoint
 
 # ten distinct bright colors, none close to white (the leakage marker is
@@ -69,16 +70,23 @@ class SynthSpec:
     def __post_init__(self):
         if not 1 <= self.classes <= len(PALETTE):
             raise ConfigError(f"classes must be in 1..{len(PALETTE)}")
-        if not 16 <= self.image_size <= MAX_IMAGE_SIZE:
-            raise ConfigError(f"image_size must be in 16..{MAX_IMAGE_SIZE}")
+        _check_side(self.image_size, smallest=16)
+        for field in ("train_per_class", "test_per_class"):
+            if getattr(self, field) < 0:
+                raise ConfigError(f"{field} must be >= 0, got {getattr(self, field)}")
         _check_corpus(self.classes * (self.train_per_class + self.test_per_class),
                       self.image_size)
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < 1 << 64:  # what SplitMix64 and numpy both accept
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+def _check_side(side: int, smallest: int = 1) -> None:
+    if not smallest <= side <= MAX_IMAGE_SIZE:
+        raise ConfigError(f"image_size must be in {smallest}..{MAX_IMAGE_SIZE}")
+
+
+def _check_drop_ratio(ratio: float) -> None:
+    if not 0.0 <= ratio < 1.0:  # also false for nan
+        raise ConfigError(f"drop_ratio must be in [0, 1), got {ratio}")
 
 
 def _check_corpus(images: int, side: int) -> None:
@@ -180,8 +188,7 @@ def gen_puzzle_corpus(n: int, image_size: int, seed: int = 0) -> list:
     constant areas produce zero-cost impostor seams that poison any
     boundary-based solver.
     """
-    if not 1 <= image_size <= MAX_IMAGE_SIZE:
-        raise ConfigError(f"image_size must be in 1..{MAX_IMAGE_SIZE}")
+    _check_side(image_size)
     _check_corpus(n, image_size)
     rng = np.random.default_rng(seed)
     coarse = max(2, image_size // PUZZLE_CELL)
@@ -218,17 +225,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1:
             raise ConfigError("epochs and batch must be >= 1")
-        if not 0.0 <= self.drop_ratio < 1.0:
-            raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
+        _check_drop_ratio(self.drop_ratio)
         if self.interval < 0:
             raise ConfigError(f"interval must be >= 0, got {self.interval}")
-        # a 2x2 one-channel patch gives 4 values unless the setting mixes
-        mixes = token_dim(self.encryption, 2, 1) != 4
-        if self.drop_ratio > 0.0 and mixes:
+        if mixes(self.encryption) and self.drop_ratio > 0.0:  # parses every setting
             raise ConfigError("drop_ratio is only supported for none/rs settings")
         if not 0.0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 def image_vectors(pixels: np.ndarray, cfg: TrainConfig, rng: SplitMix64) -> np.ndarray:
@@ -534,10 +538,8 @@ class SweepCell:
     image_size: int = 224
 
     def __post_init__(self):
-        if not 0.0 <= self.drop_ratio < 1.0:  # also false for nan
-            raise ConfigError(f"drop_ratio must be in [0, 1), got {self.drop_ratio}")
-        if not 1 <= self.image_size <= MAX_IMAGE_SIZE:
-            raise ConfigError(f"image_size must be in 1..{MAX_IMAGE_SIZE}")
+        _check_drop_ratio(self.drop_ratio)
+        _check_side(self.image_size)
         grid_shape(self.image_size, self.image_size, self.patch_size, self.interval)
 
 
@@ -550,42 +552,37 @@ SWEEP_COLUMNS = (
 SWEEP_HEADER = ",".join(name for name, _ in SWEEP_COLUMNS)
 
 
-def _cell_training(cell: SweepCell, train_spec: SynthSpec, train_base: TrainConfig) -> tuple:
+def _cell_training(cell: SweepCell, spec: SynthSpec, base: TrainConfig) -> tuple:
     """(SynthSpec, TrainConfig) of the model trained for one sweep cell."""
-    spec = dataclasses.replace(train_spec, image_size=cell.image_size)
-    pdim = token_dim(train_base.encryption, cell.patch_size, 3)
+    spec = dataclasses.replace(spec, image_size=cell.image_size)
+    pdim = token_dim(base.encryption, cell.patch_size, 3)
     cfg = dataclasses.replace(
-        train_base,
+        base,
         patch_size=cell.patch_size,
         interval=cell.interval,
         drop_ratio=cell.drop_ratio,
-        model=dataclasses.replace(
-            train_base.model, patch_dim=pdim, n_classes=spec.classes
-        ),
+        model=dataclasses.replace(base.model, patch_dim=pdim, n_classes=spec.classes),
     )
     return spec, cfg
 
 
-def sweep(cells, seed: int = 0, corpus_size: int = 20,
-          train_spec: SynthSpec | None = None,
-          train_base: TrainConfig | None = None) -> list:
+def sweep(cells, seed: int = 0, corpus_size: int = 20, training: tuple | None = None) -> list:
     """Security-vs-granularity table: solver accuracy per cell, and model
-    accuracy when a training budget (spec + base config) is supplied.
+    accuracy given ``training``, a (SynthSpec, TrainConfig) budget.
 
     Every cell's training settings are built, and so checked, before the
     first corpus."""
     cells = list(cells)
-    trainings = [None] * len(cells)
-    if train_spec is not None and train_base is not None:
-        trainings = [_cell_training(cell, train_spec, train_base) for cell in cells]
+    budgets = [None if training is None else _cell_training(cell, *training)
+               for cell in cells]
     rows = []
-    for cell, training in zip(cells, trainings):
+    for cell, budget in zip(cells, budgets):
         corpus = gen_puzzle_corpus(corpus_size, cell.image_size, seed=seed)
         solved = solve_corpus(corpus, cell.patch_size, cell.interval,
                               cell.drop_ratio, seed=seed)
         acc = float("nan")
-        if training is not None:
-            spec, cfg = training
+        if budget is not None:
+            spec, cfg = budget
             data = gen_dataset(spec)
             params, _ = train(cfg, data)
             acc = evaluate(params, cfg, data.test_x, data.test_y, seed=seed)

@@ -37,6 +37,8 @@ from .tensor import (
 # most weights a model may hold: 256 MiB of float64, 1 GiB with the
 # gradient and Adam's two moments beside it
 MAX_MODEL_FLOATS = 1 << 25
+# most weight arrays a model may hold (MAX_MODEL_FLOATS admits 2.8 M tiny layers)
+MAX_MODEL_TENSORS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,9 @@ class ModelConfig:
         if self.n_weights > MAX_MODEL_FLOATS:
             raise ConfigError(f"{self.n_weights} model weights exceed "
                               f"MAX_MODEL_FLOATS = {MAX_MODEL_FLOATS}")
+        if self.n_tensors > MAX_MODEL_TENSORS:
+            raise ConfigError(f"{self.n_tensors} weight arrays exceed "
+                              f"MAX_MODEL_TENSORS = {MAX_MODEL_TENSORS}")
 
     @property
     def n_weights(self) -> int:
@@ -72,6 +77,11 @@ class ModelConfig:
                 + self.depth * (4 * d * d + 2 * d * f + f + 5 * d)
                 + self.rpe * (self.patch_dim * (1 + h) + h * (1 + d) + d)
                 + self.positions * d)
+
+    @property
+    def n_tensors(self) -> int:
+        """Number of init_params arrays, counted from the fields alone."""
+        return 5 + 5 * self.rpe + self.depth * (9 + 3 * self.heads) + (self.positions > 0)
 
     @property
     def head_dim(self) -> int:

@@ -40,17 +40,21 @@ _U64_27, _U64_30, _U64_31, _U64_32 = _u64(27), _u64(30), _u64(31), _u64(32)
 _U64_LOW32 = _u64(_BOUND_LIMIT - 1)
 
 
+def check_seed(seed: int, error: type = ConfigError) -> int:
+    """``seed`` if it is in [0, 2**64), what SplitMix64 and numpy both accept;
+    else ``error``, by default a ConfigError: seeds come from flags and files."""
+    if not 0 <= seed < 1 << 64:
+        raise error(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 class SplitMix64:
-    """Sequential stream of 64-bit words from a 64-bit seed; seeds come from
-    flags and config files, so one outside [0, 2**64) is an input error
-    (ConfigError)."""
+    """Sequential stream of 64-bit words from a seed that check_seed admits."""
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        self.state = seed
+        self.state = check_seed(seed)
 
     def next_u64(self) -> int:
         self.state = (self.state + _GAMMA) & _MASK64

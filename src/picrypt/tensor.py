@@ -412,7 +412,8 @@ def load_checkpoint(path) -> dict:
     """Read a checkpoint back as a name -> Tensor dict.
 
     A file cut short anywhere (header, name, dims or payload), a name that
-    is not UTF-8 or a rank above MAX_CHECKPOINT_RANK raises ShapeError.
+    is not UTF-8 or is repeated, a rank above MAX_CHECKPOINT_RANK, dims no
+    array can have or bytes after the last entry raise ShapeError.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -442,12 +443,18 @@ def load_checkpoint(path) -> dict:
             name = blob[at : at + nlen].decode("utf-8")
         except UnicodeDecodeError:
             raise ShapeError(f"checkpoint entry name at offset {at} is not UTF-8") from None
+        if name in params:
+            raise ShapeError(f"checkpoint entry {name!r} appears twice")
         (rank,) = struct.unpack_from("<I", blob, advance(4, "rank"))
         if rank > MAX_CHECKPOINT_RANK:
             raise ShapeError(f"entry {name!r} has rank {rank}, above {MAX_CHECKPOINT_RANK}")
         dims = struct.unpack_from(f"<{rank}Q", blob, advance(8 * rank, "dims"))
         size = math.prod(dims)
         at = advance(8 * size, "data")
+        if 8 * math.prod(d or 1 for d in dims) > np.iinfo(np.intp).max:  # numpy's limit
+            raise ShapeError(f"entry {name!r} has dims {dims}, too large for an array")
         data = np.frombuffer(blob, dtype="<f8", count=size, offset=at).reshape(dims)
         params[name] = Tensor(data.copy())
+    if pos != len(blob):
+        raise ShapeError(f"{len(blob) - pos} bytes after the last checkpoint entry")
     return params

@@ -6,7 +6,9 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from damaged_files import damaged, load_or_none, saved_bytes
 from picrypt.cipher import (
     KEY_MAGIC,
     MAX_SPN_ROUNDS,
@@ -576,3 +578,13 @@ def test_key_file_rejects_bad_magic(tmp_path):
     path.write_text("NOT-A-KEY 9\nn=1\nseed=0\nperm=0\n")
     with pytest.raises(PicryptError):
         load_key(path)
+
+
+VALID_KEY = saved_bytes(lambda path: save_key(gen_key(7, 6), path))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(damaged(VALID_KEY))
+def test_damaged_key_file_gives_a_key_or_a_picrypt_error(blob):
+    key = load_or_none(load_key, blob)
+    assert key is None or key == gen_key(key.seed, key.n)

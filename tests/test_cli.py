@@ -139,6 +139,18 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
                 "--out", str(tmp_path / "o.ppm")]) == 2
 
 
+def test_value_error_inside_a_verb_is_internal_error(tmp_path, monkeypatch, capsys):
+    # a ValueError is a bug, not a data error: only PicryptError and OSError exit 2
+    def broken(seed, n):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(picrypt.cipher, "gen_key", broken)
+    write_image(tmp_path / "a.ppm")
+    assert run(["encrypt", "--mode", "rs", "--in", str(tmp_path / "a.ppm"),
+                "--out", str(tmp_path / "b.ppm")]) == 3
+    assert "internal error: boom" in capsys.readouterr().err
+
+
 def test_internal_error_maps_to_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(picrypt.cipher, "keyspace",
                         lambda n: (_ for _ in ()).throw(RuntimeError("boom")))
@@ -510,6 +522,18 @@ def test_train_seed_outside_64_bits_is_config_error(monkeypatch, tmp_path, capsy
     ckpt = tmp_path / "m.petn"
     assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
     assert f"seed must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("key", ["data.train_per_class", "data.test_per_class"])
+def test_train_negative_per_class_is_config_error(monkeypatch, tmp_path, capsys, key):
+    # rejected with the config, not by numpy once the dataset is drawn
+    no_drawing(monkeypatch)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY_CFG + f"{key} = -1\n")
+    ckpt = tmp_path / "m.petn"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 2
+    assert f"{key.split('.')[1]} must be >= 0, got -1" in capsys.readouterr().err
     assert not ckpt.exists()
 
 

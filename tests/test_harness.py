@@ -30,6 +30,7 @@ from picrypt.harness import (
     SweepCell,
     SynthSpec,
     TrainConfig,
+    check_geometry,
     config_specs,
     evaluate,
     gen_dataset,
@@ -676,7 +677,7 @@ def test_sweep_with_training_budget():
     base = TrainConfig(model=dataclasses.replace(TINY_MODEL, n_classes=2),
                        epochs=1, encryption="rs", patch_size=16, seed=0)
     rows = sweep([SweepCell(patch_size=16, interval=0, image_size=32)],
-                 seed=0, corpus_size=1, train_spec=spec, train_base=base)
+                 seed=0, corpus_size=1, training=(spec, base))
     assert 0.0 <= rows[0]["model_accuracy"] <= 1.0
 
 
@@ -727,6 +728,26 @@ def test_config_specs_rejects_empty_test_split():
     # train, eval and sweep all evaluate: rejected with the config
     with pytest.raises(DataError, match="data.test_per_class = 0: no images to evaluate"):
         config_specs({"data.test_per_class": "0"})
+
+
+@pytest.mark.parametrize("field", ["train_per_class", "test_per_class"])
+def test_synth_spec_rejects_negative_per_class_counts(monkeypatch, field):
+    # a ConfigError naming the field, before numpy sees a negative dimension
+    no_drawing(monkeypatch)
+    with pytest.raises(ConfigError, match=f"{field} must be >= 0, got -1"):
+        config_specs({f"data.{field}": "-1"})
+    assert getattr(SynthSpec(**{field: 0}), field) == 0
+
+
+def test_config_specs_rejects_a_model_of_too_many_arrays(monkeypatch):
+    # 2,796,136 one-float layers fit MAX_MODEL_FLOATS but make 33.6 M arrays
+    def drew(*args, **kwargs):
+        raise AssertionError("weights were drawn")
+
+    monkeypatch.setattr(pevit, "init_params", drew)
+    d = {"model.dim": "1", "model.heads": "1", "model.ffn_dim": "1", "model.depth": "2796136"}
+    with pytest.raises(ConfigError, match="MAX_MODEL_TENSORS"):  # checked after the floats
+        config_specs(d)
 
 
 def test_config_specs_rejects_unknown_key():
@@ -814,7 +835,7 @@ CONFIG_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), CONFIG_VALUES))
 def test_config_specs_returns_specs_or_config_error(d):
     try:
@@ -838,13 +859,20 @@ CONFIG_LINES = st.one_of(
 ).map(" = ".join)
 
 
-@settings(max_examples=300, deadline=1000)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(CONFIG_LINES, max_size=8).map("\n".join))
 @example("enc.patch_size = 1" + "0" * 3999)  # its weight count passed str()'s limit
+@example("data.train_per_class = -1")  # must stop at SynthSpec, not at np.empty
 def test_config_text_gives_specs_or_a_picrypt_error(text):
-    # any key=value text over the known keys, and any stray line: specs, or
-    # a PicryptError, in bounded time
+    # any key=value text over the known keys, and any stray line: specs whose
+    # geometry fits and whose dataset draws, or a PicryptError, in bounded time
     try:
-        config_specs(parse_config_text(text))
+        spec, cfg = config_specs(parse_config_text(text))
+        check_geometry(cfg, (spec.image_size, spec.image_size, 3))
     except PicryptError:
-        pass
+        return
+    small = dataclasses.replace(spec, train_per_class=min(spec.train_per_class, 1),
+                                test_per_class=min(spec.test_per_class, 1))
+    data = gen_dataset(small)  # at most one image per class and split
+    assert len(data.train_x) == small.classes * small.train_per_class
+    assert len(data.test_y) == small.classes * small.test_per_class

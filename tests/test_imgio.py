@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from damaged_files import damaged, load_or_none
 from picrypt.errors import DecodeError, GeometryError
 from picrypt.imgio import (
     Image,
@@ -110,6 +113,17 @@ def test_garbage_dimension_rejected(tmp_path):
     p.write_bytes(b"P6\nx 1\n255\n" + b"\x00" * 3)
     with pytest.raises(DecodeError, match="width"):
         load_ppm(p)
+
+
+# a P6 with a header comment and a P5, as written by hand
+VALID_PPMS = (b"P6\n# c\n3 2\n255\n" + bytes(range(18)), b"P5\n2 3\n255\n" + bytes(range(6)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(VALID_PPMS).flatmap(damaged))
+def test_damaged_ppm_gives_an_image_or_a_picrypt_error(blob):
+    img = load_or_none(load_ppm, blob)
+    assert img is None or isinstance(img, Image)
 
 
 def test_image_rejects_wrapping_values():

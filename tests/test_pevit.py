@@ -10,6 +10,7 @@ from picrypt.errors import ConfigError, ShapeError
 from picrypt.harness import Adam
 from picrypt.pevit import (
     MAX_MODEL_FLOATS,
+    MAX_MODEL_TENSORS,
     ModelConfig,
     encode,
     encoder_block,
@@ -97,6 +98,7 @@ def test_config_weight_count_covers_init_params(rpe):
                 ModelConfig(patch_dim=5, dim=6, depth=3, heads=3, ffn_dim=7,
                             n_classes=9, rpe=rpe, rpe_hidden=2, positions=11)):
         assert cfg.n_weights == sum(p.data.size for p in init_params(cfg).values())
+        assert cfg.n_tensors == len(init_params(cfg))
 
 
 def test_config_rejects_weights_above_bound():
@@ -105,6 +107,15 @@ def test_config_rejects_weights_above_bound():
         ModelConfig(patch_dim=768, dim=4_000_000, heads=1)
     with pytest.raises(ConfigError, match="MAX_MODEL_FLOATS"):
         ModelConfig(patch_dim=1, dim=1, heads=1, ffn_dim=1, depth=MAX_MODEL_FLOATS)
+
+
+def test_config_rejects_tensors_above_bound():
+    # one-float layers: MAX_MODEL_FLOATS alone admits about 2.8 M of them
+    assert ModelConfig(patch_dim=768).n_tensors == 89  # the criterion-6 model
+    deep = dict(patch_dim=1, dim=1, heads=1, ffn_dim=1, n_classes=1)
+    ModelConfig(**deep, depth=(MAX_MODEL_TENSORS - 5) // 12)
+    with pytest.raises(ConfigError, match="MAX_MODEL_TENSORS"):
+        ModelConfig(**deep, depth=(MAX_MODEL_TENSORS - 5) // 12 + 1)
 
 
 def test_init_params_names_and_shapes():

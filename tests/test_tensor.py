@@ -5,7 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from damaged_files import damaged, load_or_none, saved_bytes
 from picrypt.errors import ConfigError, DataError, PicryptError, ShapeError
 from picrypt.tensor import (
     CHECKPOINT_MAGIC,
@@ -443,6 +445,47 @@ def test_checkpoint_rejects_non_utf8_name(tmp_path):
     path.write_bytes(one_entry_checkpoint(b"w\xff", (1, 2)))
     with pytest.raises(ShapeError, match="not UTF-8"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_bytes_after_the_last_entry(tmp_path):
+    path = tmp_path / "m.petn"
+    save_checkpoint(path, {"a": t([1.0, 2.0])})
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ShapeError, match="7 bytes after the last checkpoint entry"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_repeated_name(tmp_path):
+    # two entries named "a", the second holding 7s: neither may win silently
+    entry = one_entry_checkpoint(b"a", (1,))[12:]
+    path = tmp_path / "m.petn"
+    path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2) + entry
+                     + entry[:-8] + struct.pack("<d", 7.0))
+    with pytest.raises(ShapeError, match="entry 'a' appears twice"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dims", [(0, 2**60), (0, 2**64 - 1), (2**30, 0, 2**30)])
+def test_checkpoint_rejects_empty_entry_dims_no_array_can_have(tmp_path, dims):
+    # no payload bytes to run out of: numpy's own size limit applies
+    path = tmp_path / "m.petn"
+    path.write_bytes(one_entry_checkpoint(b"w", dims))
+    with pytest.raises(ShapeError, match="too large for an array"):
+        load_checkpoint(path)
+    path.write_bytes(one_entry_checkpoint(b"w", (0, 2**60 - 1)))
+    assert load_checkpoint(path)["w"].data.shape == (0, 2**60 - 1)
+
+
+# a zero-size entry among them, so a damaged dim need not run past the file
+VALID_CHECKPOINT = saved_bytes(lambda path: save_checkpoint(path, {
+    "a": t(np.arange(6.0).reshape(2, 3)), "b": t([0.5]), "z": t(np.zeros((0, 3)))}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(damaged(VALID_CHECKPOINT))
+def test_damaged_checkpoint_gives_tensors_or_a_picrypt_error(blob):
+    params = load_or_none(load_checkpoint, blob)
+    assert params is None or all(isinstance(p, Tensor) for p in params.values())
 
 
 @pytest.mark.parametrize("rank", [MAX_CHECKPOINT_RANK + 1, 65])
