@@ -51,14 +51,6 @@ class Arrangement:
         object.__setattr__(self, "slots", slots)
 
 
-def _norm_patch(p: np.ndarray) -> np.ndarray:
-    a = np.asarray(p)
-    out = a.astype(np.float64)
-    if a.dtype == np.uint8:
-        out /= 255.0
-    return out
-
-
 # seam table entries filled per step. A step of rows = _TABLE_BLOCK // n
 # rows holds two (8, rows, n) float64 buffers per table (its partial sums
 # and one group of squared differences), at most 0.8 MB each whatever n is
@@ -137,27 +129,32 @@ def _pairwise_ssd(a, b, out, part, sq):
         out += sq[0]
 
 
-def seam_tables(stack: np.ndarray) -> np.ndarray:
+def seam_tables(patches: np.ndarray) -> np.ndarray:
     """(4, n, n) relation tables: right, below, left, above.
 
     ``tables[0][i, j]`` is the cost of j right of i, ``tables[1][i, j]`` of
     j below i, and tables 2 and 3 are exact copies of their transposes, so
     row q of ``tables[r]`` scores every patch in relation r to patch q.
-    ``stack`` is an (n, P, P, C) float64 array; the diagonals are inf, so no
-    patch is its own neighbor. Filled a block of rows at a time by
-    whole-row elementwise ops over the edge vectors, summed in the order of
-    numpy's pairwise sum, so the values are bit-identical to a one-shot
-    (n, n, edge) broadcast and ``.sum(axis=2)``. A second thread fills the
-    right table and its transpose while this one fills the below pair, each
-    with its own scratch; no entry's ops or their order change.
+    ``patches`` is an (n, P, P, C) array, uint8 or float in [0, 1]; only its
+    four edge sets are cast to float64, and uint8 ones divided by 255.0. The
+    diagonals are inf, so no patch is its own neighbor. Filled a block of
+    rows at a time by whole-row elementwise ops over the edge vectors,
+    summed in the order of numpy's pairwise sum, so the values are
+    bit-identical to a one-shot (n, n, edge) broadcast and ``.sum(axis=2)``
+    of the scaled patches. A second thread fills the right table and its
+    transpose while this one fills the below pair, each with its own
+    scratch; no entry's ops or their order change.
     """
-    n = stack.shape[0]
+    n = patches.shape[0]
 
     def edge(e):  # (edge, n): coordinate k of every patch's edge is one row
-        return np.ascontiguousarray(e.reshape(n, -1).T)
+        out = np.ascontiguousarray(e.reshape(n, -1).T, dtype=np.float64)
+        if patches.dtype == np.uint8:
+            out /= 255.0
+        return out
 
-    last_col, first_col = edge(stack[:, :, -1, :]), edge(stack[:, :, 0, :])
-    last_row, first_row = edge(stack[:, -1, :, :]), edge(stack[:, 0, :, :])
+    last_col, first_col = edge(patches[:, :, -1, :]), edge(patches[:, :, 0, :])
+    last_row, first_row = edge(patches[:, -1, :, :]), edge(patches[:, 0, :, :])
     tables = np.empty((4, n, n))
     rows = max(1, _TABLE_BLOCK // max(n, 1))
     block = (8, min(rows, n), n)
@@ -318,10 +315,10 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
         slots = np.full((rows, cols), -1, dtype=np.int64)
         slots.flat[:n] = idx_map
         return Arrangement(slots)
-    stack = _norm_patch(patches[idx_map])
-    if patches.dtype.kind == "f" and not np.isfinite(stack).all():
+    kept = patches[idx_map]
+    if kept.dtype.kind == "f" and not np.isfinite(kept).all():
         raise DataError("patches hold NaN or inf")
-    found = place(seam_tables(stack), rows, cols).slots
+    found = place(seam_tables(kept), rows, cols).slots
     return Arrangement(np.where(found >= 0, idx_map[found], -1))
 
 

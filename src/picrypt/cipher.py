@@ -345,8 +345,10 @@ def load_key(path) -> PermutationKey:
             f"key file is not ASCII: byte {exc.object[exc.start]:#04x}") from None
     if not lines or lines[0] != KEY_MAGIC:
         raise KeyMismatchError(f"bad key file magic: {lines[0] if lines else '<empty>'!r}")
+    if len(lines) > 4:  # a trailing blank line counts: save_key writes none
+        raise KeyMismatchError(f"key file has {len(lines)} lines, a key has 4")
     fields = {}
-    for ln in lines[1:4]:
+    for ln in lines[1:]:
         if "=" not in ln:
             raise KeyMismatchError(f"malformed key line: {ln!r}")
         k, v = ln.split("=", 1)

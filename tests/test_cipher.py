@@ -580,6 +580,18 @@ def test_key_file_rejects_bad_magic(tmp_path):
         load_key(path)
 
 
+@pytest.mark.parametrize("tail", ["garbage line\n", "perm=0,1,2,3,4,5\n", "\n"])
+def test_key_file_rejects_a_line_after_the_fourth(tmp_path, tail):
+    # an appended line, a second perm= line, a trailing blank line
+    path = tmp_path / "k.key"
+    save_key(gen_key(7, 6), path)
+    assert load_key(path) == gen_key(7, 6)
+    with path.open("a") as fh:
+        fh.write(tail)
+    with pytest.raises(KeyMismatchError, match="5 lines"):
+        load_key(path)
+
+
 VALID_KEY = saved_bytes(lambda path: save_key(gen_key(7, 6), path))
 
 

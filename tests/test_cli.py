@@ -6,6 +6,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import picrypt.attacks
 import picrypt.cipher
@@ -209,6 +211,17 @@ def test_decrypt_key_seed_out_of_range_is_key_error(tmp_path, capsys, seed):
                 "--out", str(tmp_path / "d.ppm"), "--patch", "8",
                 "--key", str(tmp_path / "k.key")]) == 2
     assert f"got {seed}" in capsys.readouterr().err
+
+
+def test_decrypt_key_with_a_fifth_line_is_key_error(tmp_path, capsys):
+    write_image(tmp_path / "a.ppm", seed=6)
+    picrypt.cipher.save_key(picrypt.cipher.gen_key(3, 16), tmp_path / "k.key")
+    with (tmp_path / "k.key").open("a") as fh:
+        fh.write("perm=" + ",".join(map(str, range(16))) + "\n")
+    assert run(["decrypt", "--in", str(tmp_path / "a.ppm"),
+                "--out", str(tmp_path / "d.ppm"), "--patch", "8",
+                "--key", str(tmp_path / "k.key")]) == 2
+    assert "key file has 5 lines" in capsys.readouterr().err
 
 
 def test_decrypt_non_ascii_key_is_key_error(tmp_path, capsys):
@@ -707,3 +720,70 @@ def test_gradcheck_entries_below_one_is_usage_error(monkeypatch, capsys, entries
     assert run(["gradcheck", "--entries", entries]) == 1
     captured = capsys.readouterr()
     assert "--entries must be >= 1" in captured.err and captured.out == ""
+
+
+# ---------------------------------------------------------------- argv suite
+# the fast verbs on drawn argv: every run ends 0, 1 or 2, never an exit-3
+# internal error. Each flag takes a file the verb reads, one it writes, or a
+# value; the value pool holds small, negative and huge ints, nan, the empty
+# string and spn:<k>.
+
+_ARGV_INTS = (-(2**64), -4, -1, 0, 1, 2, 3, 4, 7, 8, 16, 33, 100, 2**31, 2**64, 10**30)
+_ARGV_VALUES = ([str(i) for i in _ARGV_INTS] + [f"spn:{i}" for i in _ARGV_INTS]
+                + ["nan", "-inf", "0.9", "", "9" * 5000, "none", "rs", "mi", "rs+mi"])
+_FAST_VERBS = {
+    "encrypt": {"--in": "read", "--patch": "value", "--seed": "value",
+                "--mode": "value", "--out": "write", "--key": "write"},
+    "decrypt": {"--in": "read", "--patch": "value", "--out": "write", "--key": "read"},
+    "keyspace": {"--n": "value"},
+    "attack-jigsaw": {"--in": "read", "--patch": "value", "--interval": "value",
+                      "--key": "read", "--out": "write"},
+    "attack-gradleak": {"--in": "read", "--patch": "value", "--seed": "value"},
+    "attack-collision": {"--in": "read", "--patch": "value", "--seed": "value",
+                         "--row": "value", "--col": "value", "--amplitude": "value"},
+}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Paths each flag kind draws from: 32x32 P6 and P5 images, a key for
+    their 16 patches at P=8 and one for 4, and paths that fail to open."""
+    d = tmp_path_factory.mktemp("argv")
+    write_image(d / "rgb.ppm", seed=11)
+    write_image(d / "gray.pgm", seed=12, channels=1)
+    picrypt.cipher.save_key(picrypt.cipher.gen_key(5, 16), d / "k16.key")
+    picrypt.cipher.save_key(picrypt.cipher.gen_key(5, 4), d / "k4.key")
+    missing = [str(d / "missing"), str(d / "no-dir" / "x"), str(d), ""]
+    return {
+        "read": [str(d / name) for name in ("rgb.ppm", "gray.pgm", "k16.key", "k4.key")] + missing,
+        "write": [str(d / "out.ppm"), str(d / "out.key")] + missing,
+        "value": _ARGV_VALUES,
+    }
+
+
+@st.composite
+def fast_argv(draw, files):
+    """A valid argv for one fast verb, about a quarter of its flags dropped,
+    then up to four flags of that verb (or an unknown one) appended with
+    drawn values; argparse keeps a repeated flag's last value."""
+    verb = draw(st.sampled_from(sorted(_FAST_VERBS)))
+    flags = _FAST_VERBS[verb]
+    base = {"--in": files["read"][draw(st.integers(0, 1))], "--patch": "8",
+            "--mode": "rs", "--out": files["write"][0], "--key": files["read"][2],
+            "--n": "5", "--amplitude": "0.25"}
+    argv = [verb]
+    for flag in flags:
+        keep = draw(st.sampled_from([True, True, True, False]))  # most stay valid
+        if flag in base and (flag != "--key" or verb == "decrypt") and keep:
+            argv += [flag, base[flag]]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(sorted(flags) + ["--bogus"]))
+        argv += [flag, draw(st.sampled_from(files[flags.get(flag, "value")]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fast_verbs_never_exit_3(argv_files, data):
+    argv = data.draw(fast_argv(argv_files), label="argv")
+    assert run(argv) in (0, 1, 2), argv

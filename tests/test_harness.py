@@ -859,8 +859,32 @@ CONFIG_LINES = st.one_of(
 ).map(" = ".join)
 
 
+# a valid config naming every key; one key's value replaced, it reaches
+# check_geometry and gen_dataset far more often than a free text does
+VALID_CONFIG = {
+    "data.image_size": "32", "data.classes": "2", "data.train_per_class": "1",
+    "data.test_per_class": "1", "data.marker": "false", "data.seed": "3",
+    "model.dim": "16", "model.depth": "1", "model.heads": "2", "model.ffn_dim": "32",
+    "model.rpe": "false", "model.rpe_hidden": "8", "train.epochs": "1",
+    "train.batch": "1", "train.lr": "0.01", "train.seed": "0", "enc.mode": "rs",
+    "enc.patch_size": "16", "enc.interval": "0", "enc.drop_ratio": "0.0",
+}
+ONE_KEY_EDITS = st.tuples(
+    st.sampled_from(CONFIG_KEYS),
+    st.integers(-2, 64).map(str) | CONFIG_VALUES | st.integers().map(str),
+).map(lambda edit: "\n".join(f"{key} = {edit[1] if key == edit[0] else value}"
+                              for key, value in VALID_CONFIG.items()))
+
+
+def test_valid_config_names_every_key_and_draws_its_dataset():
+    assert sorted(VALID_CONFIG) == CONFIG_KEYS
+    spec, cfg = config_specs(VALID_CONFIG)
+    check_geometry(cfg, (spec.image_size, spec.image_size, 3))
+    assert len(gen_dataset(spec).train_x) == 2
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(CONFIG_LINES, max_size=8).map("\n".join))
+@given(ONE_KEY_EDITS | st.lists(CONFIG_LINES, max_size=8).map("\n".join))
 @example("enc.patch_size = 1" + "0" * 3999)  # its weight count passed str()'s limit
 @example("data.train_per_class = -1")  # must stop at SynthSpec, not at np.empty
 def test_config_text_gives_specs_or_a_picrypt_error(text):

@@ -33,7 +33,6 @@ from picrypt.attacks import (
     _NEIGHBORS,
     _TABLE_BLOCK,
     Arrangement,
-    _norm_patch,
     dump_arrangement,
     jigsaw_solve,
     place,
@@ -79,7 +78,7 @@ def reference_jigsaw_solve(patches, rows, cols):
     slots = np.full((rows, cols), -1)
     if n == 0:
         return Arrangement(slots)
-    stack = np.stack([_norm_patch(patches[i]) for i in idx_map])
+    stack = np.stack([patches[i] for i in idx_map]) / 255.0
     if n == 1:
         slots[0, 0] = idx_map[0]
         return Arrangement(slots)
@@ -255,7 +254,7 @@ def test_blocked_tables_equal_broadcast(ps):
     for ch in (1,) if ps == 128 else (1, 3):
         for n in (2, 130):
             raw = rng.integers(0, 256, size=(n, ps, ps, ch), dtype=np.uint8)
-            stack = _norm_patch(raw)
+            stack = raw / 255.0
             got = seam_tables(stack)
             want = broadcast_tables(stack)
             assert got.shape == (4, n, n) and got.flags.c_contiguous
@@ -263,6 +262,12 @@ def test_blocked_tables_equal_broadcast(ps):
             assert np.array_equal(got[1], want[1]), (ps, ch, n)
             assert np.array_equal(got[2], got[0].T), (ps, ch, n)
             assert np.array_equal(got[3], got[1].T), (ps, ch, n)
+            # uint8 patches are scaled edge by edge, with no wrap; a float32
+            # stack's edges are cast before any difference is taken
+            assert seam_tables(raw).tobytes() == got.tobytes(), (ps, ch, n)
+            narrow = stack.astype(np.float32)
+            assert (seam_tables(narrow).tobytes()
+                    == seam_tables(narrow.astype(np.float64)).tobytes()), (ps, ch, n)
 
 
 # ---------------------------------------------------------------- solver
@@ -311,7 +316,7 @@ def test_place_on_broadcast_tables_matches_reference(puzzle):
     raw, rows, cols = puzzle
     patches = [p for p in raw if p is not HOLE]
     assume(len(patches) >= 2)
-    stack = np.stack([_norm_patch(p) for p in patches])
+    stack = np.stack(patches) / 255.0
     want = dump_arrangement(reference_jigsaw_solve(patches, rows, cols))
     assert dump_arrangement(place(relation_tables(*broadcast_tables(stack)), rows, cols)) == want
 
@@ -346,7 +351,7 @@ def corpus_tables(ps, interval, drop_ratio, seed):
     if drop_ratio > 0.0:
         grid = drop_patches(grid, drop_ratio, rng.next_u64())
     enc = rs_encrypt(grid, gen_key(rng.next_u64(), grid.n_patches))
-    return seam_tables(_norm_patch(enc.patches[~enc.holes])), grid.rows, grid.cols
+    return seam_tables(enc.patches[~enc.holes] / 255.0), grid.rows, grid.cols
 
 
 @pytest.mark.parametrize("seed", [5, 29])
@@ -482,6 +487,20 @@ def test_a_solve_starts_one_thread_and_place_none(monkeypatch):
         tracemalloc.stop()
     assert started == []
     assert peak < 300 * 300 * 8
+
+
+def test_a_solve_keeps_no_float_copy_of_the_patches():
+    # seam_tables scales the four edge sets it reads: a float64 copy of
+    # these 64 patches of 64x64x3 would be 6.3 MB; the uint8 copy of the
+    # kept patches, the edges, the tables and the scratch peak at 2.5 MB
+    patches = np.random.default_rng(4).integers(0, 256, size=(64, 64, 64, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        jigsaw_solve(patches, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < patches.size * 8
 
 
 def test_seam_tables_under_fast_thread_switching():
