@@ -302,10 +302,10 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
     DataError. Slots of the result hold indices into ``patches``.
     """
     patches = np.asarray(patches)
-    if holes is None:
-        idx_map = np.arange(len(patches))
-    else:
-        idx_map = np.flatnonzero(~np.asarray(holes, dtype=bool))
+    holes = np.zeros(len(patches), bool) if holes is None else np.asarray(holes, dtype=bool)
+    if holes.shape != (len(patches),):
+        raise GeometryError(f"holes of shape {holes.shape} for {len(patches)} patches")
+    idx_map = np.flatnonzero(~holes)
     n = len(idx_map)
     if n > MAX_SOLVE_PATCHES:
         raise GeometryError(f"{n} patches exceed the solver bound of {MAX_SOLVE_PATCHES}")
@@ -315,7 +315,7 @@ def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
         slots = np.full((rows, cols), -1, dtype=np.int64)
         slots.flat[:n] = idx_map
         return Arrangement(slots)
-    kept = patches[idx_map]
+    kept = patches if n == len(patches) else patches[idx_map]  # no copy unless masked
     if kept.dtype.kind == "f" and not np.isfinite(kept).all():
         raise DataError("patches hold NaN or inf")
     found = place(seam_tables(kept), rows, cols).slots

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pevit
-from .attacks import Arrangement, grad_leak_invert, jigsaw_solve, puzzle_metrics
+from .attacks import Arrangement, _both, grad_leak_invert, jigsaw_solve, puzzle_metrics
 from .cipher import (
     drop_patches,
     encrypt,
@@ -264,9 +264,11 @@ class Adam:
     per-element operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     data -= lr*(m/c1) / (sqrt(v/c2) + eps) in that order (b1, b2 and eps
     are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``), so its bits are
-    that expression's. After a step the gradients are zeroed views, not
-    None, and every parameter is stepped: one that got no gradient still
-    moves by its decayed moments.
+    that expression's. Buffers over one ``ADAM_BLOCK`` are stepped in two
+    halves, the second on a worker thread; no element is in both, so the
+    bits do not depend on the split. After a step the gradients are zeroed
+    views, not None, and every parameter is stepped: one that got no
+    gradient still moves by its decayed moments.
     """
 
     def __init__(self, params: dict, lr: float = TrainConfig.lr):
@@ -281,16 +283,31 @@ class Adam:
         for p, d, g in zip(tensors, np.split(self.data, cuts), np.split(self.grad, cuts)):
             p.data, p.grad = d.reshape(p.shape), g.reshape(p.shape)
         self.m, self.v = np.zeros_like(self.data), np.zeros_like(self.data)
-        self._a, self._b = np.empty((2, min(self.data.size, ADAM_BLOCK)))
+        # one (a, b) scratch pair per half: a worker that allocated its own
+        # would take a malloc arena of its own
+        halves = 2 if self.data.size > ADAM_BLOCK else 1
+        self._scratch = np.empty((halves, 2, min(self.data.size, ADAM_BLOCK)))
 
     def step(self) -> None:
         self.t += 1
+        c1, c2 = 1 - ADAM_BETA1**self.t, 1 - ADAM_BETA2**self.t
+        n = self.data.size
+        if len(self._scratch) == 1:
+            self._step_part(0, n, self._scratch[0], c1, c2)
+        else:
+            half = n // 2
+            _both(self._step_part, (half, n, self._scratch[1], c1, c2),
+                  (0, half, self._scratch[0], c1, c2))
+
+    def _step_part(self, lo: int, hi: int, scratch: np.ndarray, c1: float, c2: float) -> None:
+        """Step elements [lo, hi) in blocks as long as ``scratch``'s rows, and
+        zero their gradient."""
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-        for start in range(0, self.data.size, ADAM_BLOCK):
-            part = slice(start, start + ADAM_BLOCK)
+        block = scratch.shape[1]
+        for start in range(lo, hi, block):
+            part = slice(start, min(start + block, hi))
             g, m, v = self.grad[part], self.m[part], self.v[part]
-            a, b = self._a[:g.size], self._b[:g.size]
+            a, b = scratch[0, :g.size], scratch[1, :g.size]
             np.multiply(g, 1 - b1, out=a)
             m *= b1
             m += a
@@ -305,7 +322,7 @@ class Adam:
             b += ADAM_EPS
             a /= b
             self.data[part] -= a
-        self.grad.fill(0.0)
+        self.grad[lo:hi] = 0.0
 
 
 def check_geometry(cfg: TrainConfig, shape: tuple) -> None:

@@ -179,10 +179,10 @@ def build_tokens(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
     # add would broadcast a single pos row over every token
     if cfg.positions and len(patches) + 1 != cfg.positions:
         raise ShapeError(f"{len(patches) + 1} tokens for {cfg.positions} position rows")
-    x = Tensor(patches)
-    emb = add(matmul(x, params["embed.w"]), params["embed.b"])
+    # the patches are a constant of the embedding: no gradient is formed for them
+    emb = add(matmul(patches, params["embed.w"]), params["embed.b"])
     if cfg.rpe:
-        emb = add(emb, rpe(params, x))
+        emb = add(emb, rpe(params, Tensor(patches)))
     z = concat_rows([params["cls"], emb])
     return add(z, params["pos"]) if cfg.positions else z
 

@@ -63,14 +63,18 @@ def _as2d(name, t):
     return t.data
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    da, db = _as2d("matmul", a), _as2d("matmul", b)
-    if da.shape[1] != db.shape[0]:
+def matmul(a, b: Tensor) -> Tensor:
+    """a @ b of 2-D operands. ``a`` may be a plain array: a constant, which
+    is not a parent of the result and gets no gradient."""
+    const = not isinstance(a, Tensor)
+    da, db = np.asarray(a, dtype=np.float64) if const else a.data, b.data
+    if da.ndim != 2 or db.ndim != 2 or da.shape[1] != db.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {da.shape} @ {db.shape}")
-    out = Tensor(da @ db, parents=(a, b))
+    out = Tensor(da @ db, parents=(b,) if const else (a, b))
 
     def pull(g):
-        a.accumulate(g @ db.T)
+        if not const:
+            a.accumulate(g @ db.T)
         b.accumulate(da.T @ g)
 
     out._pullback = pull

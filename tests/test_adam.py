@@ -6,11 +6,15 @@ array. It is kept here, test-only, as the oracle: the flat step must give
 the same bits for the values and both moments, step after step.
 """
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 from picrypt import pevit
-from picrypt.harness import Adam
+from picrypt.harness import ADAM_BLOCK, Adam
 from picrypt.tensor import Tensor, backward, cross_entropy, zero_grads
 
 # the criterion-6 classifier: 16 rs tokens of 16x16x3, D=64, L=4, H=4
@@ -95,3 +99,78 @@ def test_params_are_views_of_the_flat_buffers():
     # a gradient accumulated before the optimizer existed is carried over
     assert np.array_equal(params["head.b"].grad, np.full((1, MODEL.n_classes), 0.5))
     assert opt.grad.sum() == 0.5 * MODEL.n_classes
+
+
+def split_params(sizes, seed):
+    """Named parameters of the given sizes, and their per-name twins."""
+    rng = np.random.default_rng(seed)
+    params = {f"p{i:02d}": Tensor(rng.standard_normal(size)) for i, size in enumerate(sizes)}
+    twin = {name: Tensor(p.data.copy()) for name, p in params.items()}
+    return params, twin
+
+
+def count_starts(monkeypatch):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    return started
+
+
+# one size per case: below one block (one thread), exactly two blocks, an
+# odd count whose halves each end on a partial block, the criterion-6 model
+SPLIT_SIZES = {
+    "below_one_block": [700, 3, 1000],
+    "two_blocks": [ADAM_BLOCK - 5, 7, ADAM_BLOCK - 2],
+    "odd_partial_halves": [ADAM_BLOCK + 17, 2 * ADAM_BLOCK - 16],
+    "criterion6": [p.data.size for _, p in sorted(pevit.init_params(MODEL, seed=0).items())],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_SIZES))
+def test_split_step_matches_per_name_oracle(case, monkeypatch):
+    sizes = SPLIT_SIZES[case]
+    n = sum(sizes)
+    assert {"below_one_block": n < ADAM_BLOCK, "two_blocks": n == 2 * ADAM_BLOCK,
+            "odd_partial_halves": n % 2 == 1 and n // 2 % ADAM_BLOCK > 0,
+            "criterion6": n == 248_842}[case]
+    params, twin = split_params(sizes, seed=len(case))
+    opt = Adam(params, lr=3e-3)
+    oracle = PerNameAdam(twin, lr=3e-3)
+    started = count_starts(monkeypatch)
+    rng = np.random.default_rng(7)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the halves write no common element
+    try:
+        for _ in range(3):
+            for name, p in params.items():
+                g = rng.standard_normal(p.data.size)
+                p.grad += g  # a view of opt.grad
+                twin[name].grad = g
+            opt.step()
+            oracle.step()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(started) == (0 if n <= ADAM_BLOCK else 3)
+    assert np.array_equal(opt.data, flat({k: p.data for k, p in twin.items()}))
+    assert np.array_equal(opt.m, flat(oracle.m))
+    assert np.array_equal(opt.v, flat(oracle.v))
+    for name in params:
+        assert np.array_equal(params[name].data, twin[name].data), name
+        assert not params[name].grad.any(), name
+
+
+def test_split_step_worker_keeps_the_callers_errstate():
+    # g * g overflows only in the second half, the worker's
+    n = 3 * ADAM_BLOCK
+    params, _ = split_params([n], seed=0)
+    opt = Adam(params)
+    opt.grad[n // 2:] = 1e200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        opt.step()
+    opt.grad[n // 2:] = 1e200
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step()
+    assert np.isinf(opt.v[n // 2:]).all() and np.isfinite(opt.data).all()
+    assert not opt.grad.any()

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,22 @@ def test_train_deterministic():
     assert ha == hb
     for name in pa:
         assert np.array_equal(pa[name].data, pb[name].data), name
+
+
+def test_train_leaves_no_adam_thread(monkeypatch):
+    # embed.w alone is 98,304 floats, over one ADAM_BLOCK: every step
+    # hands its second half to one worker, joined before step returns
+    spec = SynthSpec(image_size=32, classes=2, train_per_class=2,
+                     test_per_class=0, seed=1)
+    model = dataclasses.replace(TINY_MODEL, dim=128, n_classes=2)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    before = threading.active_count()
+    train(tiny_cfg(model=model, epochs=2), gen_dataset(spec))
+    assert len(started) == 8  # 4 images, 2 epochs, batch 1
+    assert threading.active_count() == before
 
 
 def test_train_writes_checkpoint(tmp_path):

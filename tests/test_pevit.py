@@ -12,6 +12,7 @@ from picrypt.pevit import (
     MAX_MODEL_FLOATS,
     MAX_MODEL_TENSORS,
     ModelConfig,
+    build_tokens,
     encode,
     encoder_block,
     forward,
@@ -475,3 +476,18 @@ def test_export_attention_uniform_for_zero_weights():
     for per_block in attn:
         for w in per_block:
             assert np.max(np.abs(w - 1.0 / 5)) < 1e-12
+
+
+@pytest.mark.parametrize("use_rpe", [False, True])
+def test_embedding_matmul_has_only_the_weight_as_parent(use_rpe):
+    # the patch matrix is a constant of the embedding: no input gradient
+    cfg = ModelConfig(patch_dim=12, dim=8, depth=1, heads=2, ffn_dim=16,
+                      n_classes=3, rpe=use_rpe)
+    params = init_params(cfg, seed=0)
+    z = build_tokens(params, cfg, np.random.default_rng(0).random((5, 12)))
+    emb = z._parents[1]
+    if use_rpe:  # add(add(embedding, bias), rpe features)
+        emb = emb._parents[0]
+    embedding, bias = emb._parents
+    assert bias is params["embed.b"]
+    assert embedding._parents == (params["embed.w"],)

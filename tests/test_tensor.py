@@ -75,6 +75,30 @@ def test_matmul_shape_error_names_both_shapes():
         matmul(t(np.zeros((2, 3))), t(np.zeros((4, 2))))
 
 
+def test_matmul_constant_left_operand_gives_the_same_gradient_bits():
+    # the constant is not a parent and gets no gradient; w's bits are the same
+    rng = np.random.default_rng(5)
+    x, w0 = rng.standard_normal((17, 40)), rng.standard_normal((40, 8))
+    grads = []
+    for a in (x, t(x)):
+        w = t(w0)
+        out = matmul(a, w)
+        backward(scalar_sum(gelu(out)))
+        grads.append(w.grad)
+        if isinstance(a, Tensor):
+            assert out._parents == (a, w) and a.grad is not None
+        else:
+            assert out._parents == (w,)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3), (2, 4)])
+def test_matmul_constant_shape_error_names_both_shapes(shape):
+    pattern = ", ".join(map(str, shape)) + r".*3, 2"
+    with pytest.raises(ShapeError, match=pattern):
+        matmul(np.zeros(shape), t(np.zeros((3, 2))))
+
+
 def test_add_same_shape_and_bias_row():
     a = t([[1.0, 2.0], [3.0, 4.0]])
     b = t([[10.0, 20.0], [30.0, 40.0]])
