@@ -168,12 +168,10 @@ def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
-    _check_mixable(grid)
     master = SplitMix64(seed)
     rows, cols, n = grid.rows, grid.cols, grid.n_patches
-
-    key0 = gen_key(master.next_u64(), n)
-    state = _quadrant_means(grid.patches[np.asarray(key0.perm)])
+    first = mi_encrypt(rs_encrypt(grid, gen_key(master.next_u64(), n)))
+    state = first.patches
 
     # The four half-patch units of a mixed patch all hold its mean, so a
     # round only gathers means: unit u of the (2 * rows, 2 * cols) sub-grid
@@ -188,14 +186,7 @@ def spn_encrypt(grid: PatchGrid, rounds: int, seed: int) -> MixedGrid:
             state[g[:, 0, :, 0]] + state[g[:, 0, :, 1]]
             + state[g[:, 1, :, 0]] + state[g[:, 1, :, 1]]
         ).reshape(state.shape)
-
-    return MixedGrid(
-        rows=rows,
-        cols=cols,
-        patch_size=grid.patch_size,
-        channels=grid.channels,
-        patches=state,
-    )
+    return dataclasses.replace(first, patches=state)
 
 
 def quantize_mixed(grid) -> PatchGrid:

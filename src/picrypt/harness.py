@@ -457,14 +457,12 @@ def gradleak_demo(pixels: np.ndarray, patch_size: int, seed: int = 0) -> dict:
 
 
 def white_marker_count(pixels: np.ndarray) -> int:
-    """Exact template detector: number of all-white 8x8 windows."""
-    h, w = pixels.shape[:2]
-    if h < MARKER_SIZE or w < MARKER_SIZE:
-        return 0
-    win = np.lib.stride_tricks.sliding_window_view(
-        pixels, (MARKER_SIZE, MARKER_SIZE), axis=(0, 1)
-    )
-    return int((win == 255).all(axis=(2, 3, 4)).sum())
+    """Exact template detector: number of all-white 8x8 windows, counted
+    from a summed-area table of the pixels white in every channel."""
+    m = MARKER_SIZE
+    sat = np.pad((pixels == 255).all(axis=2).cumsum(0).cumsum(1), ((1, 0), (1, 0)))
+    win = sat[m:, m:] - sat[:-m, m:] - sat[m:, :-m] + sat[:-m, :-m]
+    return int((win == m * m).sum())
 
 
 def encrypt_pixels(pixels: np.ndarray, encryption: str, patch_size: int,

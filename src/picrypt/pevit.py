@@ -160,8 +160,9 @@ def encoder_block(params: dict, prefix: str, z: Tensor, heads: int, trace=None) 
     return add(h, zp)
 
 
-def rpe(params: dict, x: Tensor) -> Tensor:
-    """Reference-based positional features: sigmoid(mlp(x - ref)), one row per patch."""
+def rpe(params: dict, x) -> Tensor:
+    """Reference-based positional features: sigmoid(mlp(x - ref)), one row per
+    patch; ``x`` may be a plain array, a constant that gets no gradient."""
     delta = add(x, scale(params["rpe.ref"], -1.0))
     h = gelu(add(matmul(delta, params["rpe.w1"]), params["rpe.b1"]))
     return sigmoid(add(matmul(h, params["rpe.w2"]), params["rpe.b2"]))
@@ -179,10 +180,11 @@ def build_tokens(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
     # add would broadcast a single pos row over every token
     if cfg.positions and len(patches) + 1 != cfg.positions:
         raise ShapeError(f"{len(patches) + 1} tokens for {cfg.positions} position rows")
-    # the patches are a constant of the embedding: no gradient is formed for them
+    # the patches are a constant of the embedding and of rpe: no gradient
+    # is formed for them
     emb = add(matmul(patches, params["embed.w"]), params["embed.b"])
     if cfg.rpe:
-        emb = add(emb, rpe(params, Tensor(patches)))
+        emb = add(emb, rpe(params, patches))
     z = concat_rows([params["cls"], emb])
     return add(z, params["pos"]) if cfg.positions else z
 

@@ -1,10 +1,12 @@
 """Minimal dense float64 tensor with reverse-mode automatic differentiation.
 
-Every operation records its inputs and a pullback closure on the tensor it
-returns; backward() replays the pullbacks in reverse recording order, so
-gradient accumulation order is fixed and runs are reproducible. Matrices
-are plain 2-D numpy arrays; there is no broadcasting beyond the bias-row
-case add() documents.
+Every operation ends in one ``Tensor(value, parents, pullback)``: its
+result, its inputs and the closure that hands them their gradients.
+backward() replays the pullbacks in reverse recording order, so gradient
+accumulation order is fixed and runs are reproducible. Matrices are plain
+2-D numpy arrays; there is no broadcasting beyond the bias-row case add()
+documents. matmul and add take a plain array as the left operand: a
+constant, which is not a parent of the result and gets no gradient.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_pullback", "_id")
 
-    def __init__(self, data, parents=()):
+    def __init__(self, data, parents=(), pullback=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self._parents = parents
-        self._pullback = None
+        self._pullback = pullback
         self._id = next(_ids)
 
     @property
@@ -63,55 +65,46 @@ def _as2d(name, t):
     return t.data
 
 
+def _left(a):
+    """Data and parents of a left operand; a plain array is a constant."""
+    if isinstance(a, Tensor):
+        return a.data, (a,)
+    return np.asarray(a, dtype=np.float64), ()
+
+
 def matmul(a, b: Tensor) -> Tensor:
-    """a @ b of 2-D operands. ``a`` may be a plain array: a constant, which
-    is not a parent of the result and gets no gradient."""
-    const = not isinstance(a, Tensor)
-    da, db = np.asarray(a, dtype=np.float64) if const else a.data, b.data
+    """a @ b of 2-D operands; ``a`` may be a constant."""
+    (da, left), db = _left(a), b.data
     if da.ndim != 2 or db.ndim != 2 or da.shape[1] != db.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {da.shape} @ {db.shape}")
-    out = Tensor(da @ db, parents=(b,) if const else (a, b))
 
     def pull(g):
-        if not const:
+        if left:
             a.accumulate(g @ db.T)
         b.accumulate(da.T @ g)
 
-    out._pullback = pull
-    return out
+    return Tensor(da @ db, (*left, b), pull)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; b may also be a single row (1, D) broadcast over a's rows."""
-    if a.data.shape == b.data.shape:
-        out = Tensor(a.data + b.data, parents=(a, b))
+def add(a, b: Tensor) -> Tensor:
+    """Elementwise sum; b may also be a single row (1, D) broadcast over a's
+    rows, and ``a`` may be a constant."""
+    (da, left), db = _left(a), b.data
+    bias = da.shape != db.shape
+    if bias and not (da.ndim == 2 and db.shape == (1, da.shape[1])):
+        raise ShapeError(f"add shape mismatch: {da.shape} + {db.shape}")
 
-        def pull(g):
+    def pull(g):
+        if left:
             a.accumulate(g)
-            b.accumulate(g)
+        b.accumulate(g.sum(axis=0, keepdims=True) if bias else g)
 
-    elif (
-        a.data.ndim == 2
-        and b.data.ndim == 2
-        and b.data.shape == (1, a.data.shape[1])
-    ):
-        out = Tensor(a.data + b.data, parents=(a, b))
-
-        def pull(g):
-            a.accumulate(g)
-            b.accumulate(g.sum(axis=0, keepdims=True))
-
-    else:
-        raise ShapeError(f"add shape mismatch: {a.data.shape} + {b.data.shape}")
-    out._pullback = pull
-    return out
+    return Tensor(da + db, (*left, b), pull)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(a.data * s, parents=(a,))
-    out._pullback = lambda g: a.accumulate(g * s)
-    return out
+    return Tensor(a.data * s, (a,), lambda g: a.accumulate(g * s))
 
 
 def concat_rows(tensors) -> Tensor:
@@ -125,28 +118,24 @@ def concat_rows(tensors) -> Tensor:
         if _as2d("concat_rows", t).shape[1] != width:
             raise ShapeError(f"concat_rows mismatch: {t.data.shape} vs width {width}")
     stops = list(itertools.accumulate(len(t.data) for t in tensors))
-    out = Tensor(np.concatenate([t.data for t in tensors]), parents=tuple(tensors))
 
     def pull(g):
         for t, start, stop in zip(tensors, [0] + stops, stops):
             t.accumulate(g[start:stop])
 
-    out._pullback = pull
-    return out
+    return Tensor(np.concatenate([t.data for t in tensors]), tuple(tensors), pull)
 
 
 def first_row(a: Tensor) -> Tensor:
     """Row 0 of a 2-D tensor, as a (1, D) tensor."""
     da = _as2d("first_row", a)
-    out = Tensor(da[:1], parents=(a,))
 
     def pull(g):
         full = np.zeros_like(da)
         full[:1] = g
         a.accumulate(full)
 
-    out._pullback = pull
-    return out
+    return Tensor(da[:1], (a,), pull)
 
 
 def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
@@ -161,7 +150,9 @@ def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
     laid out as in a per-head composition of matmul, a transposed copy of
     k, a scale and a row softmax, and the pullback adds into z in that
     composition's reverse-tape order (heads last to first; v, k, then q),
-    so values and gradients are bit for bit that composition's.
+    so values and gradients are bit for bit that composition's (which also
+    sent its intermediates through accumulate's ``g + 0.0``; that moves
+    only the sign of a zero, and no pullback divides by a gradient).
     """
     dz = _as2d("attention", z)
     heads, ws = len(wq), (*wq, *wk, *wv)
@@ -180,19 +171,16 @@ def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     if trace is not None:
         trace.extend(w.copy() for w in y)
-    out = Tensor(np.matmul(y, v).transpose(1, 0, 2).reshape(n, -1), parents=(z, *ws))
 
     def pull(g):
-        # a gradient holds no -0.0, so this is each head's g[:, cols] + 0.0;
-        # every "+ 0.0" below is the first accumulate of a per-head node
         g_o = np.ascontiguousarray(g.reshape(n, heads, -1).transpose(1, 0, 2))
-        g_y = np.matmul(g_o, v.transpose(0, 2, 1)) + 0.0
-        g_v = np.matmul(y.transpose(0, 2, 1), g_o) + 0.0
-        g_s = (y * (g_y - (g_y * y).sum(axis=-1, keepdims=True)) + 0.0) * s + 0.0
-        g_q = np.matmul(g_s, kt.transpose(0, 2, 1)) + 0.0
+        g_y = np.matmul(g_o, v.transpose(0, 2, 1))
+        g_v = np.matmul(y.transpose(0, 2, 1), g_o)
+        g_s = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True)) * s
+        g_q = np.matmul(g_s, kt.transpose(0, 2, 1))
         # the transposed copy's gradient, read back through the transpose:
         # per head an F-ordered (N, d) array
-        g_k = (np.matmul(q.transpose(0, 2, 1), g_s) + 0.0).transpose(0, 2, 1)
+        g_k = np.matmul(q.transpose(0, 2, 1), g_s).transpose(0, 2, 1)
         wt = stacked.transpose(0, 2, 1)
         parts = [(np.matmul(g_p, wt[i * heads:(i + 1) * heads]), np.matmul(dz.T, g_p))
                  for i, g_p in enumerate((g_q, g_k, g_v))]
@@ -202,8 +190,7 @@ def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
                 z.accumulate(to_z[j])
                 ws[i * heads + j].accumulate(to_w[j])
 
-    out._pullback = pull
-    return out
+    return Tensor(np.matmul(y, v).transpose(1, 0, 2).reshape(n, -1), (z, *ws), pull)
 
 
 def _row_means(a):
@@ -229,7 +216,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DataError("layer_norm rows have no finite variance (NaN or overflow)")
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (dx - mu) * inv_std
-    out = Tensor(grow * xhat + brow, parents=(x, gamma, beta))
 
     def pull(g):
         gamma.accumulate((g * xhat).sum(axis=0, keepdims=True).reshape(gamma.data.shape))
@@ -238,8 +224,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         term = dxhat - _row_means(dxhat) - xhat * _row_means(dxhat * xhat)
         x.accumulate(inv_std * term)
 
-    out._pullback = pull
-    return out
+    return Tensor(grow * xhat + brow, (x, gamma, beta), pull)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -247,22 +232,18 @@ def gelu(x: Tensor) -> Tensor:
     dx = x.data
     inner = _GELU_C0 * (dx + _GELU_C1 * dx**3)
     t = np.tanh(inner)
-    out = Tensor(0.5 * dx * (1.0 + t), parents=(x,))
 
     def pull(g):
         dinner = _GELU_C0 * (1.0 + 3.0 * _GELU_C1 * dx**2)
         deriv = 0.5 * (1.0 + t) + 0.5 * dx * (1.0 - t**2) * dinner
         x.accumulate(g * deriv)
 
-    out._pullback = pull
-    return out
+    return Tensor(0.5 * dx * (1.0 + t), (x,), pull)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(s, parents=(x,))
-    out._pullback = lambda g: x.accumulate(g * s * (1.0 - s))
-    return out
+    return Tensor(s, (x,), lambda g: x.accumulate(g * s * (1.0 - s)))
 
 
 def cross_entropy(logits: Tensor, label: int) -> Tensor:
@@ -274,15 +255,13 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
     m = flat.max()
     z = flat - m
     logsumexp = m + np.log(np.exp(z).sum())
-    out = Tensor(logsumexp - flat[label], parents=(logits,))
 
     def pull(g):
         p = np.exp(z) / np.exp(z).sum()
         p[label] -= 1.0
         logits.accumulate(float(g) * p.reshape(logits.data.shape))
 
-    out._pullback = pull
-    return out
+    return Tensor(logsumexp - flat[label], (logits,), pull)
 
 
 def backward(loss: Tensor) -> None:

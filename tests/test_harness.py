@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,43 @@ def test_white_marker_count_exact():
     # two extra rows of white: (rows-7) x (cols-7) sliding windows
     img[4:4 + MARKER_SIZE + 2, 10:10 + MARKER_SIZE] = 255
     assert white_marker_count(img) == 3
+
+
+def sliding_window_marker_count(pixels):
+    """white_marker_count as an (H-7, W-7, C, 8, 8) window view: the oracle."""
+    h, w = pixels.shape[:2]
+    if h < MARKER_SIZE or w < MARKER_SIZE:
+        return 0
+    win = np.lib.stride_tricks.sliding_window_view(
+        pixels, (MARKER_SIZE, MARKER_SIZE), axis=(0, 1)
+    )
+    return int((win == 255).all(axis=(2, 3, 4)).sum())
+
+
+def test_white_marker_count_matches_sliding_window_oracle():
+    # mostly white images, sides 1-40, with a seeded sprinkle of 0-254 values
+    counts = []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(1, 41, size=2)
+        img = np.full((h, w, rng.choice([1, 3])), 255, dtype=np.uint8)
+        dark = rng.random(img.shape) < rng.uniform(0.0, 0.03)
+        img[dark] = rng.integers(0, 255, size=int(dark.sum()))
+        counts.append(white_marker_count(img))
+        assert counts[-1] == sliding_window_marker_count(img), seed
+    assert sum(c > 0 for c in counts) > 100
+
+
+def test_white_marker_count_of_a_largest_image_stays_small():
+    # the window view allocated 192 bytes a pixel: 190 MiB at 1024^2
+    img = np.full((MAX_IMAGE_SIZE, MAX_IMAGE_SIZE, 3), 255, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        assert white_marker_count(img) == (MAX_IMAGE_SIZE - MARKER_SIZE + 1) ** 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * img.shape[0] * img.shape[1]
 
 
 def test_leakage_identity_for_plain_mode():

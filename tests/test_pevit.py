@@ -25,6 +25,7 @@ from picrypt.pevit import (
 from picrypt.tensor import (
     Tensor,
     backward,
+    first_row,
     grad_check,
     matmul,
     scale,
@@ -208,9 +209,17 @@ def test_msa_permutation_equivariant():
     assert np.max(np.abs(a - b)) < 1e-9
 
 
-def msa_run(attn, heads, n, dim, seed):
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: unlike np.array_equal, -0.0 != 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def msa_run(attn, heads, n, dim, seed, class_row=False):
     """Output, trace, and z and weight gradients of ``attn`` over one layer's
-    attention, with weights scaled up so the softmax is far from uniform."""
+    attention, with weights scaled up so the softmax is far from uniform.
+    With ``class_row`` the loss reads only the output's first row, as the
+    last block's does, so the upstream gradient has exact zero rows."""
     cfg = ModelConfig(patch_dim=4, dim=dim, depth=1, heads=heads, ffn_dim=4)
     p = {name: Tensor(w.data * 40.0) for name, w in init_params(cfg, seed=seed).items()
          if name.startswith("layer0.attn.")}
@@ -218,25 +227,36 @@ def msa_run(attn, heads, n, dim, seed):
     z = t(rng.standard_normal((n, dim)))
     trace = []
     out = attn(p, "layer0.attn", z, heads, trace=trace)
-    backward(matmul(matmul(t(rng.standard_normal((1, n))), out),
-                    t(rng.standard_normal((dim, 1)))))
+    rows = first_row(out) if class_row else matmul(t(rng.standard_normal((1, n))), out)
+    backward(matmul(rows, t(rng.standard_normal((dim, 1)))))
     return out.data, trace, z.grad, {name: w.grad for name, w in p.items()}
+
+
+def assert_msa_matches_oracle(heads, n, dim, class_row=False):
+    out, trace, g_z, grads = msa_run(msa, heads, n, dim, heads * n + dim, class_row)
+    want_out, want_trace, want_g_z, want_grads = msa_run(per_head_msa, heads, n, dim,
+                                                         heads * n + dim, class_row)
+    assert same_bits(out, want_out)
+    assert len(trace) == len(want_trace) == heads
+    assert all(same_bits(a, b) for a, b in zip(trace, want_trace))
+    assert same_bits(g_z, want_g_z)
+    assert set(grads) == set(want_grads)
+    for name, g in grads.items():
+        assert same_bits(g, want_grads[name]), name
 
 
 @pytest.mark.parametrize("dim", [8, 64])
 @pytest.mark.parametrize("n", [2, 5, 17])
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 def test_msa_matches_per_head_oracle_bit_for_bit(heads, n, dim):
-    out, trace, g_z, grads = msa_run(msa, heads, n, dim, seed=heads * n + dim)
-    want_out, want_trace, want_g_z, want_grads = msa_run(per_head_msa, heads, n, dim,
-                                                         seed=heads * n + dim)
-    assert np.array_equal(out, want_out)
-    assert len(trace) == len(want_trace) == heads
-    assert all(np.array_equal(a, b) for a, b in zip(trace, want_trace))
-    assert np.array_equal(g_z, want_g_z)
-    assert set(grads) == set(want_grads)
-    for name, g in grads.items():
-        assert np.array_equal(g, want_grads[name]), name
+    assert_msa_matches_oracle(heads, n, dim)
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+@pytest.mark.parametrize("n", [2, 5, 17])
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_msa_matches_per_head_oracle_through_the_class_row(heads, n, dim):
+    assert_msa_matches_oracle(heads, n, dim, class_row=True)
 
 
 @pytest.mark.parametrize("extra", [{"rpe": True, "rpe_hidden": 8}, {"positions": 10}])
@@ -261,12 +281,12 @@ def test_model_with_fused_msa_matches_per_head_oracle(monkeypatch, extra):
     fused = run()
     monkeypatch.setattr(pevit, "msa", per_head_msa)
     loss, trace, grads, stepped = run()
-    assert np.array_equal(fused[0], loss)
+    assert same_bits(fused[0], loss)
     for key in ("tokens", "attn"):
-        assert np.array_equal(np.array(fused[1][key]), np.array(trace[key])), key
+        assert same_bits(np.array(fused[1][key]), np.array(trace[key])), key
     for name, g in grads.items():
-        assert np.array_equal(fused[2][name], g), name
-    assert np.array_equal(fused[3], stepped)
+        assert same_bits(fused[2][name], g), name
+    assert same_bits(fused[3], stepped)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
@@ -491,3 +511,35 @@ def test_embedding_matmul_has_only_the_weight_as_parent(use_rpe):
     embedding, bias = emb._parents
     assert bias is params["embed.b"]
     assert embedding._parents == (params["embed.w"],)
+
+
+def leaves(node):
+    """Tensors without parents reachable from node."""
+    found, seen, stack = [], set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+            if not node._parents:
+                found.append(node)
+    return found
+
+
+def test_rpe_takes_the_patches_as_a_constant():
+    # rpe of an ndarray reaches only rpe.* weights, and an rpe model's
+    # backward forms no gradient outside its parameters
+    cfg = ModelConfig(patch_dim=12, dim=8, depth=1, heads=2, ffn_dim=16,
+                      n_classes=3, rpe=True, rpe_hidden=4)
+    params = init_params(cfg, seed=0)
+    x = np.random.default_rng(0).random((5, 12))
+    rpe_ids = {id(w) for name, w in params.items() if name.startswith("rpe.")}
+    out = rpe(params, x)
+    assert out.data.tobytes() == rpe(params, t(x)).data.tobytes()
+    assert {id(leaf) for leaf in leaves(out)} == rpe_ids
+    loss = loss_fn(params, cfg, x, 1)
+    backward(loss)
+    param_ids = {id(w) for w in params.values()}
+    stray = [leaf for leaf in leaves(loss) if id(leaf) not in param_ids]
+    # readout's affine-free layer norm: a constant unit row and zero row
+    assert [leaf.shape for leaf in stray] == [(1, 8), (1, 8)]

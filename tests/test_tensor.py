@@ -1,7 +1,10 @@
 """Tests for the autodiff tensor: forward oracles, gradients, checkpoints."""
 
+import ast
 import math
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,9 @@ from picrypt.tensor import (
     zero_grads,
 )
 from tape_oracles import concat_last_axis, softmax_rows, transpose_last_two
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "picrypt"
 
 
 def t(arr):
@@ -114,6 +120,59 @@ def test_add_bias_grad_is_column_sum():
     backward(scalar_sum(out))
     assert np.array_equal(bias.grad, [[3.0, 3.0]])
     assert np.array_equal(a.grad, np.ones((3, 2)))
+
+
+ADD_MISMATCHES = [((3, 2), (3, 1)), ((3, 2), (2,)), ((1, 2), (3, 2))]
+
+
+@pytest.mark.parametrize("const", [False, True], ids=["tensor", "constant"])
+@pytest.mark.parametrize("shapes", ADD_MISMATCHES, ids=lambda s: f"{s[0]}+{s[1]}")
+def test_add_shape_error_names_both_shapes(shapes, const):
+    sa, sb = shapes
+    a = np.zeros(sa) if const else t(np.zeros(sa))
+    with pytest.raises(ShapeError, match=re.escape(f"{sa} + {sb}")):
+        add(a, t(np.zeros(sb)))
+
+
+@pytest.mark.parametrize("b_shape", [(3, 2), (1, 2)], ids=["same shape", "bias row"])
+def test_add_constant_left_operand_is_no_parent(b_shape):
+    # only b gets a gradient, with the bits it gets beside a Tensor a
+    rng = np.random.default_rng(6)
+    x, b0 = rng.standard_normal((3, 2)), rng.standard_normal(b_shape)
+    grads = []
+    for a in (x, t(x)):
+        b = t(b0)
+        out = add(a, b)
+        assert out.data.tobytes() == (x + b0).tobytes()
+        backward(scalar_sum(gelu(out)))
+        grads.append(b.grad)
+        if isinstance(a, Tensor):
+            assert out._parents == (a, b) and a.grad is not None
+        else:
+            assert out._parents == (b,)
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+def pullback_assignments(node, scope=()):
+    """Dotted scope of every assignment to a ``_pullback`` attribute under node."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = (*scope, node.name)
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+               else [])
+    for target in targets:
+        for sub in ast.walk(target):
+            if isinstance(sub, ast.Attribute) and sub.attr == "_pullback":
+                yield ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from pullback_assignments(child, scope)
+
+
+def test_pullback_is_assigned_only_in_the_tensor_constructor():
+    # every op builds its node whole: Tensor(value, parents, pullback)
+    sites = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in pullback_assignments(ast.parse(path.read_text()))]
+    assert sites == [("tensor.py", "Tensor.__init__")]
 
 
 def test_scale_and_transpose():
