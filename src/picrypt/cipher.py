@@ -272,8 +272,8 @@ def token_rows(grid) -> np.ndarray:
     of a PatchGrid scaled by 1/255, or each quadrant mean of a MixedGrid."""
     if isinstance(grid, MixedGrid):
         return grid.patches.reshape(grid.n_patches, -1)
-    kept = grid.patches[~grid.holes]
-    return kept.reshape(len(kept), -1).astype(np.float64) / 255.0
+    kept = grid.patches[~grid.holes] if grid.holes.any() else grid.patches
+    return np.divide(kept.reshape(len(kept), -1), 255.0)
 
 
 def keyspace(n: int) -> int:

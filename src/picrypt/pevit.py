@@ -8,6 +8,10 @@ reference-based module (rpe) adds features computed per token from
 (patch - reference) in pixel space to the embeddings; they depend on each
 patch's content, not its position, so the invariance holds with rpe on.
 
+The logits read the class row alone, so forward runs the last block's
+FFN on that row only (encode's ``class_row``), with the same bits as the
+full-rows path. encode's default keeps every row of every block.
+
 Parameter dicts map dotted names to Tensors; see init_params for the
 naming scheme. All shapes are 2-D rows-of-features.
 """
@@ -26,6 +30,7 @@ from .tensor import (
     concat_rows,
     cross_entropy,
     first_row,
+    first_row_only,
     gelu,
     layer_norm,
     matmul,
@@ -147,15 +152,20 @@ def msa(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -> Tensor:
                   params[f"{prefix}.wo"])
 
 
-def encoder_block(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -> Tensor:
-    """Pre-norm block: z' = MSA(LN(z)) + z ; out = FFN(LN(z')) + z'."""
+def encoder_block(params: dict, prefix: str, z: Tensor, heads: int, trace=None,
+                  class_row: bool = False) -> Tensor:
+    """Pre-norm block: z' = MSA(LN(z)) + z ; out = FFN(LN(z')) + z'. With
+    ``class_row`` the FFN pre-activation is zeroed below row 0, so only
+    row 0 of the result is the block's output (rows 1..N hold z' + b2)."""
     a = msa(params, f"{prefix}.attn",
             layer_norm(z, params[f"{prefix}.ln1.gamma"], params[f"{prefix}.ln1.beta"]),
             heads, trace=trace)
     zp = add(a, z)
     h = layer_norm(zp, params[f"{prefix}.ln2.gamma"], params[f"{prefix}.ln2.beta"])
-    h = matmul(gelu(add(matmul(h, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"])),
-               params[f"{prefix}.ffn.w2"])
+    h = add(matmul(h, params[f"{prefix}.ffn.w1"]), params[f"{prefix}.ffn.b1"])
+    if class_row:
+        h = first_row_only(h)
+    h = matmul(gelu(h), params[f"{prefix}.ffn.w2"])
     h = add(h, params[f"{prefix}.ffn.b2"])
     return add(h, zp)
 
@@ -193,22 +203,25 @@ def readout(params: dict, z: Tensor) -> Tensor:
     """Logits (1, n_classes): the head over the class row after an
     affine-free layer norm (unit scale, zero shift, not trainable)."""
     d = z.data.shape[1]
-    y = layer_norm(first_row(z), Tensor(np.ones((1, d))), Tensor(np.zeros((1, d))))
+    y = layer_norm(first_row(z), np.ones((1, d)), np.zeros((1, d)))
     return add(matmul(y, params["head.w"]), params["head.b"])
 
 
-def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | None = None) -> Tensor:
+def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | None = None,
+           class_row: bool = False) -> Tensor:
     """Run blocks layer0 .. layer{depth-1} over build_tokens; returns the
     (N+1, D) token matrix. A dict ``trace`` receives "tokens" (the block
     input and each block's output) and "attn" (per block, the per-head
-    attention weights), as numpy copies."""
+    attention weights), as numpy copies. ``class_row`` passes to the last
+    block alone, so only row 0 of the result is encoded."""
     z = build_tokens(params, cfg, patches)
     if trace is not None:
         trace["tokens"] = [z.data.copy()]
         trace["attn"] = []
     for i in range(cfg.depth):
         attn_trace = [] if trace is not None else None
-        z = encoder_block(params, f"layer{i}", z, cfg.heads, trace=attn_trace)
+        z = encoder_block(params, f"layer{i}", z, cfg.heads, trace=attn_trace,
+                          class_row=class_row and i == cfg.depth - 1)
         if trace is not None:
             trace["tokens"].append(z.data.copy())
             trace["attn"].append(attn_trace)
@@ -216,8 +229,15 @@ def encode(params: dict, cfg: ModelConfig, patches: np.ndarray, trace: dict | No
 
 
 def forward(params: dict, cfg: ModelConfig, patches: np.ndarray) -> Tensor:
-    """Logits (1, n_classes) from the normalized class token."""
-    return readout(params, encode(params, cfg, patches))
+    """Logits (1, n_classes) from the normalized class token.
+
+    The readout reads row 0 alone, so the last block's FFN runs on the
+    class row only (``encode(..., class_row=True)``). Each GEMM keeps its
+    (N+1)-row shape, and a GEMM entry's summation order depends on the
+    shapes, not on the other rows' values: the logits and every parameter
+    gradient are bit for bit ``readout(params, encode(params, cfg, patches))``.
+    """
+    return readout(params, encode(params, cfg, patches, class_row=True))
 
 
 def loss_fn(params: dict, cfg: ModelConfig, patches: np.ndarray, label: int) -> Tensor:

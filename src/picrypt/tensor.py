@@ -5,8 +5,9 @@ result, its inputs and the closure that hands them their gradients.
 backward() replays the pullbacks in reverse recording order, so gradient
 accumulation order is fixed and runs are reproducible. Matrices are plain
 2-D numpy arrays; there is no broadcasting beyond the bias-row case add()
-documents. matmul and add take a plain array as the left operand: a
-constant, which is not a parent of the result and gets no gradient.
+documents. matmul and add take a plain array as the left operand, and
+layer_norm as gamma or beta: a constant, which is not a parent of the
+result and gets no gradient.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def _as2d(name, t):
     return t.data
 
 
-def _left(a):
-    """Data and parents of a left operand; a plain array is a constant."""
+def _operand(a):
+    """Data and parents of an operand; a plain array is a constant."""
     if isinstance(a, Tensor):
         return a.data, (a,)
     return np.asarray(a, dtype=np.float64), ()
@@ -74,7 +75,7 @@ def _left(a):
 
 def matmul(a, b: Tensor) -> Tensor:
     """a @ b of 2-D operands; ``a`` may be a constant."""
-    (da, left), db = _left(a), b.data
+    (da, left), db = _operand(a), b.data
     if da.ndim != 2 or db.ndim != 2 or da.shape[1] != db.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {da.shape} @ {db.shape}")
 
@@ -89,7 +90,7 @@ def matmul(a, b: Tensor) -> Tensor:
 def add(a, b: Tensor) -> Tensor:
     """Elementwise sum; b may also be a single row (1, D) broadcast over a's
     rows, and ``a`` may be a constant."""
-    (da, left), db = _left(a), b.data
+    (da, left), db = _operand(a), b.data
     bias = da.shape != db.shape
     if bias and not (da.ndim == 2 and db.shape == (1, da.shape[1])):
         raise ShapeError(f"add shape mismatch: {da.shape} + {db.shape}")
@@ -126,16 +127,24 @@ def concat_rows(tensors) -> Tensor:
     return Tensor(np.concatenate([t.data for t in tensors]), tuple(tensors), pull)
 
 
+def _row0_of(like, rows):
+    """Zeros shaped like ``like``, with row 0 taken from ``rows``."""
+    full = np.zeros_like(like)
+    full[:1] = rows[:1]
+    return full
+
+
 def first_row(a: Tensor) -> Tensor:
     """Row 0 of a 2-D tensor, as a (1, D) tensor."""
     da = _as2d("first_row", a)
+    return Tensor(da[:1], (a,), lambda g: a.accumulate(_row0_of(da, g)))
 
-    def pull(g):
-        full = np.zeros_like(da)
-        full[:1] = g
-        a.accumulate(full)
 
-    return Tensor(da[:1], (a,), pull)
+def first_row_only(a: Tensor) -> Tensor:
+    """A 2-D tensor with every row but row 0 zeroed; only row 0 of g
+    flows back."""
+    da = _as2d("first_row_only", a)
+    return Tensor(_row0_of(da, da), (a,), lambda g: a.accumulate(_row0_of(g, g)))
 
 
 def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
@@ -162,7 +171,7 @@ def attention(z: Tensor, wq, wk, wv, scale: float, trace=None) -> Tensor:
         raise ShapeError(f"attention of tokens {dz.shape} needs one (D, d) shape for "
                          f"{heads} wq, {len(wk)} wk and {len(wv)} wv, got {sorted(shapes)}")
     n, s = dz.shape[0], float(scale)
-    stacked = np.stack([w.data for w in ws])  # (3H, D, d)
+    stacked = np.concatenate([w.data for w in ws]).reshape(len(ws), *ws[0].data.shape)  # (3H, D, d)
     proj = np.matmul(dz, stacked)
     q, k, v = proj[:heads], proj[heads:2 * heads], proj[2 * heads:]
     kt = k.transpose(0, 2, 1).copy()
@@ -199,32 +208,34 @@ def _row_means(a):
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then affine scale."""
+def layer_norm(x: Tensor, gamma, beta) -> Tensor:
+    """Normalize each row to zero mean / unit variance, then affine scale;
+    ``gamma`` and ``beta`` may be constants."""
     dx = _as2d("layer_norm", x)
     d = dx.shape[1]
-    grow = gamma.data.reshape(1, -1)
-    brow = beta.data.reshape(1, -1)
+    (dg, g_parent), (db, b_parent) = _operand(gamma), _operand(beta)
+    grow, brow = dg.reshape(1, -1), db.reshape(1, -1)
     if grow.shape[1] != d or brow.shape[1] != d:
         raise ShapeError(
-            f"layer_norm affine shapes {gamma.data.shape}/{beta.data.shape} "
-            f"do not match row width {d}"
+            f"layer_norm affine shapes {dg.shape}/{db.shape} do not match row width {d}"
         )
-    mu = _row_means(dx)
-    var = _row_means((dx - mu) ** 2)
+    centred = dx - _row_means(dx)
+    var = _row_means(centred ** 2)
     if not np.isfinite(var).all():  # an inf var would normalise its row to 0
         raise DataError("layer_norm rows have no finite variance (NaN or overflow)")
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (dx - mu) * inv_std
+    xhat = centred * inv_std
 
     def pull(g):
-        gamma.accumulate((g * xhat).sum(axis=0, keepdims=True).reshape(gamma.data.shape))
-        beta.accumulate(g.sum(axis=0, keepdims=True).reshape(beta.data.shape))
+        if g_parent:
+            gamma.accumulate((g * xhat).sum(axis=0, keepdims=True).reshape(dg.shape))
+        if b_parent:
+            beta.accumulate(g.sum(axis=0, keepdims=True).reshape(db.shape))
         dxhat = g * grow
         term = dxhat - _row_means(dxhat) - xhat * _row_means(dxhat * xhat)
         x.accumulate(inv_std * term)
 
-    return Tensor(grow * xhat + brow, (x, gamma, beta), pull)
+    return Tensor(grow * xhat + brow, (x, *g_parent, *b_parent), pull)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -254,10 +265,12 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
         raise ShapeError(f"label {label} out of range for {k} classes")
     m = flat.max()
     z = flat - m
-    logsumexp = m + np.log(np.exp(z).sum())
+    e = np.exp(z)
+    total = e.sum()
+    logsumexp = m + np.log(total)
 
     def pull(g):
-        p = np.exp(z) / np.exp(z).sum()
+        p = e / total
         p[label] -= 1.0
         logits.accumulate(float(g) * p.reshape(logits.data.shape))
 

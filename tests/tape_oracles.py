@@ -1,16 +1,18 @@
-"""Per-head attention as separate tape ops: the oracle for ``tensor.attention``.
+"""Tape compositions the package replaced, kept as bit-for-bit oracles.
 
 ``msa`` used to build each head from a transposed copy of k, a row softmax
 and a last-axis concatenation, eight tape nodes per head. Those ops no
 longer have a caller in the package; they are kept here, as they were, so
 the fused node can be checked bit for bit against the composition it
-replaced.
+replaced. ``full_rows_forward`` is ``pevit.forward`` from before its last
+block ran the FFN on the class row alone.
 """
 
 import itertools
 
 import numpy as np
 
+from picrypt.pevit import encode, readout
 from picrypt.tensor import Tensor, matmul, scale
 
 
@@ -64,3 +66,8 @@ def per_head_msa(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -
             trace.append(weights.data.copy())
         outs.append(matmul(weights, v))
     return matmul(concat_last_axis(outs), params[f"{prefix}.wo"])
+
+
+def full_rows_forward(params: dict, cfg, patches) -> Tensor:
+    """Logits with every block, the last one too, run over all N+1 rows."""
+    return readout(params, encode(params, cfg, patches))

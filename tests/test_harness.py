@@ -321,6 +321,29 @@ def test_train_leaves_no_adam_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_criterion_6_step_builds_53_tensors(monkeypatch):
+    # Tensors built from one Adam step to the next, as perfbench counts
+    # tensor.nodes_per_step: 17 tokens, D=64, L=4, H=4, FFN=256, rs
+    spec = SynthSpec(image_size=64, classes=2, train_per_class=2,
+                     test_per_class=0, seed=1)
+    model = ModelConfig(patch_dim=16 * 16 * 3, n_classes=2)
+    built, at_step = [], []
+    init, step = Tensor.__init__, Adam.step
+
+    def counting_init(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+
+    def counting_step(opt):
+        at_step.append(len(built))
+        step(opt)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(Adam, "step", counting_step)
+    train(tiny_cfg(model=model, epochs=1), gen_dataset(spec))
+    assert np.diff(at_step).tolist() == [53, 53, 53]
+
+
 def test_train_writes_checkpoint(tmp_path):
     spec = SynthSpec(image_size=32, classes=2, train_per_class=2,
                      test_per_class=0, seed=2)

@@ -25,13 +25,14 @@ from picrypt.pevit import (
 from picrypt.tensor import (
     Tensor,
     backward,
+    cross_entropy,
     first_row,
     grad_check,
     matmul,
     scale,
     zero_grads,
 )
-from tape_oracles import per_head_msa, softmax_rows
+from tape_oracles import full_rows_forward, per_head_msa, softmax_rows
 from tape_oracles import transpose_last_two as transpose
 
 CFG = ModelConfig(patch_dim=12, dim=16, depth=2, heads=2, ffn_dim=32,
@@ -338,6 +339,75 @@ def test_encoder_block_gradients():
     assert rep.passed, f"block grad error {rep.max_rel_error:.2e} at {rep.param}"
 
 
+@pytest.mark.parametrize("variant", ["plain", "rpe", "positions"])
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("depth,ffn_dim", [(1, 5), (4, 16)])
+def test_forward_matches_full_rows_oracle(depth, ffn_dim, heads, variant):
+    # the class-row FFN keeps the logits and every parameter gradient,
+    # zero signs included, for 1 to 17 tokens (an odd ffn_dim puts row 0
+    # and row 1 in one SIMD vector)
+    for n in range(17):
+        cfg = ModelConfig(patch_dim=6, dim=8, depth=depth, heads=heads,
+                          ffn_dim=ffn_dim, n_classes=3, rpe=variant == "rpe", rpe_hidden=4,
+                          positions=(n + 1) * (variant == "positions"))
+        x = np.random.default_rng(n).random((n, 6))
+        runs = []
+        for fwd in (forward, full_rows_forward):
+            params = init_params(cfg, seed=n)
+            logits = fwd(params, cfg, x)
+            backward(cross_entropy(logits, n % 3))
+            runs.append((logits.data, {k: w.grad for k, w in params.items()}))
+        (got, got_grads), (want, want_grads) = runs
+        assert same_bits(got, want), n
+        assert got_grads.keys() == want_grads.keys()
+        for name, g in want_grads.items():
+            assert same_bits(got_grads[name], g), (n, name)
+
+
+def test_forward_matches_full_rows_oracle_at_criterion_6_size():
+    cfg = ModelConfig(patch_dim=768, n_classes=10)
+    x = np.random.default_rng(30).random((16, 768))
+    runs = []
+    for fwd in (forward, full_rows_forward):
+        params = init_params(cfg, seed=30)
+        logits = fwd(params, cfg, x)
+        backward(cross_entropy(logits, 7))
+        runs.append([logits.data] + [params[k].grad for k in sorted(params)])
+    assert all(same_bits(a, b) for a, b in zip(*runs))
+
+
+def test_only_the_last_block_ffn_skips_rows(monkeypatch):
+    # forward's last gelu sees zeros below the class row; every other
+    # block's, and encode's by default, sees every row
+    seen, gelu = [], pevit.gelu
+
+    def spy(x):
+        seen.append(x.data.copy())
+        return gelu(x)
+
+    monkeypatch.setattr(pevit, "gelu", spy)
+    cfg = ModelConfig(patch_dim=12, dim=16, depth=3, heads=2, ffn_dim=32, n_classes=4)
+    p = init_params(cfg, seed=31)
+    x = rand_patches(np.random.default_rng(31), n=6)
+    forward(p, cfg, x)
+    assert len(seen) == 3
+    *inner, last = seen
+    assert last.shape == (7, 32)
+    assert np.all(last[1:] == 0.0) and np.all(last[0] != 0.0)
+    assert all(np.all(h != 0.0) for h in inner)
+    seen.clear()
+    encode(p, cfg, x)
+    assert len(seen) == 3 and all(np.all(h != 0.0) for h in seen)
+
+
+def test_encode_class_row_keeps_row_0_and_moves_the_rest():
+    p = init_params(CFG, seed=32)
+    x = rand_patches(np.random.default_rng(32), n=5)
+    full, cls_only = encode(p, CFG, x).data, encode(p, CFG, x, class_row=True).data
+    assert same_bits(full[:1], cls_only[:1])
+    assert not np.any(full[1:] == cls_only[1:])
+
+
 # ---------------------------------------------------------------- rpe
 
 
@@ -528,7 +598,7 @@ def leaves(node):
 
 def test_rpe_takes_the_patches_as_a_constant():
     # rpe of an ndarray reaches only rpe.* weights, and an rpe model's
-    # backward forms no gradient outside its parameters
+    # loss reaches no leaf but its parameters
     cfg = ModelConfig(patch_dim=12, dim=8, depth=1, heads=2, ffn_dim=16,
                       n_classes=3, rpe=True, rpe_hidden=4)
     params = init_params(cfg, seed=0)
@@ -540,6 +610,4 @@ def test_rpe_takes_the_patches_as_a_constant():
     loss = loss_fn(params, cfg, x, 1)
     backward(loss)
     param_ids = {id(w) for w in params.values()}
-    stray = [leaf for leaf in leaves(loss) if id(leaf) not in param_ids]
-    # readout's affine-free layer norm: a constant unit row and zero row
-    assert [leaf.shape for leaf in stray] == [(1, 8), (1, 8)]
+    assert [leaf for leaf in leaves(loss) if id(leaf) not in param_ids] == []

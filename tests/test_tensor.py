@@ -24,6 +24,7 @@ from picrypt.tensor import (
     concat_rows,
     cross_entropy,
     first_row,
+    first_row_only,
     gelu,
     grad_check,
     layer_norm,
@@ -204,6 +205,17 @@ def test_first_row():
     assert np.array_equal(a.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
 
 
+def test_first_row_only_zeroes_the_other_rows_both_ways():
+    a = t([[1.0, -2.0], [3.0, 4.0], [-5.0, 6.0]])
+    out = first_row_only(a)
+    assert out._parents == (a,)
+    assert out.data.tobytes() == np.array([[1.0, -2.0], [0.0, 0.0], [0.0, 0.0]]).tobytes()
+    backward(scalar_sum(matmul(t([[2.0, 3.0, 4.0]]), out)))
+    assert a.grad.tobytes() == np.array([[2.0, 2.0], [0.0, 0.0], [0.0, 0.0]]).tobytes()
+    with pytest.raises(ShapeError, match="first_row_only"):
+        first_row_only(t([1.0, 2.0]))
+
+
 def test_mean_last_axis():
     a = t([[1.0, 3.0], [5.0, 7.0]])
     assert np.array_equal(mean_last_axis(a).data, [[2.0], [6.0]])
@@ -243,6 +255,23 @@ def test_layer_norm_constant_row_is_zero():
     gamma, beta = t(np.ones(4)), t(np.zeros(4))
     out = layer_norm(t([[7.0, 7.0, 7.0, 7.0]]), gamma, beta).data
     assert np.max(np.abs(out)) < 1e-6
+
+
+def test_layer_norm_constant_affine_gives_the_same_bits():
+    # plain-array gamma and beta are no parents and get no gradient
+    rng = np.random.default_rng(9)
+    x0, g0, b0 = rng.standard_normal((5, 6)), rng.standard_normal((1, 6)), rng.standard_normal((1, 6))
+    runs = []
+    for gamma, beta in ((t(g0), t(b0)), (g0, b0)):
+        x = t(x0)
+        out = layer_norm(x, gamma, beta)
+        backward(scalar_sum(gelu(out)))
+        runs.append((out.data, x.grad))
+        if isinstance(gamma, Tensor):
+            assert out._parents == (x, gamma, beta)
+        else:
+            assert out._parents == (x,)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*runs))
 
 
 def test_layer_norm_standardizes_rows():
@@ -424,6 +453,7 @@ def test_grad_check_each_primitive():
             concat_rows([matmul(t(x), p["w"]), scale(matmul(t(x), p["w"]), 2.0)])),
         "xent": lambda p: cross_entropy(matmul(t(x[:1]), p["w"]), 2),
         "first_row": lambda p: scalar_sum(gelu(first_row(matmul(t(x), p["w"])))),
+        "first_row_only": lambda p: scalar_sum(gelu(first_row_only(matmul(t(x), p["w"])))),
     }
     for name, f in cases.items():
         params = {"w": t(rng.standard_normal((4, 4)))}
