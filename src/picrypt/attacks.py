@@ -296,12 +296,18 @@ def place(tables, rows: int, cols: int) -> Arrangement:
 def jigsaw_solve(patches, rows: int, cols: int, *, holes=None) -> Arrangement:
     """Solve a shuffled patch grid: ``place`` over the ``seam_tables``.
 
-    ``patches`` is an (N, P, P, C) array (or a list of patches), uint8 or
-    float in [0, 1]; patches marked in the optional (N,) bool mask ``holes``
+    ``patches`` is an (N, P, Q, C) array (or a list of patches), uint8 or
+    float in [0, 1]; any other shape, a ragged list included, is a
+    GeometryError. Patches marked in the optional (N,) bool mask ``holes``
     are never placed, and a NaN or inf in a float patch that is placed is a
     DataError. Slots of the result hold indices into ``patches``.
     """
-    patches = np.asarray(patches)
+    try:
+        patches = np.asarray(patches)
+    except ValueError:  # a ragged sequence of patches
+        raise GeometryError("patches differ in shape") from None
+    if patches.ndim != 4:
+        raise GeometryError(f"patches of shape {patches.shape} are not an (N, P, Q, C) stack")
     holes = np.zeros(len(patches), bool) if holes is None else np.asarray(holes, dtype=bool)
     if holes.shape != (len(patches),):
         raise GeometryError(f"holes of shape {holes.shape} for {len(patches)} patches")

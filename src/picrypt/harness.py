@@ -326,7 +326,8 @@ class Adam:
 
 
 def check_geometry(cfg: TrainConfig, shape: tuple) -> None:
-    """Raise unless (height, width, channels) images fit ``cfg``'s tokens."""
+    """Raise unless (height, width, channels) images fit ``cfg``'s tokens,
+    and their (heads, tokens, tokens) attention scores fit MAX_MODEL_FLOATS."""
     rows, cols = grid_shape(shape[0], shape[1], cfg.patch_size, cfg.interval)
     want = token_dim(cfg.encryption, cfg.patch_size, shape[2])
     if cfg.model.patch_dim != want:
@@ -342,6 +343,9 @@ def check_geometry(cfg: TrainConfig, shape: tuple) -> None:
             f"model positions {cfg.model.positions} does not match the {tokens} "
             f"tokens of a {rows}x{cols} grid at drop_ratio {cfg.drop_ratio}"
         )
+    if cfg.model.heads * tokens**2 > pevit.MAX_MODEL_FLOATS:
+        raise ConfigError(f"{cfg.model.heads} heads of {tokens}x{tokens} attention scores "
+                          f"exceed MAX_MODEL_FLOATS = {pevit.MAX_MODEL_FLOATS}")
 
 
 def train(cfg: TrainConfig, data: Dataset, checkpoint=None):
@@ -578,6 +582,7 @@ def _cell_training(cell: SweepCell, spec: SynthSpec, base: TrainConfig) -> tuple
         drop_ratio=cell.drop_ratio,
         model=dataclasses.replace(base.model, patch_dim=pdim, n_classes=spec.classes),
     )
+    check_geometry(cfg, (cell.image_size, cell.image_size, 3))
     return spec, cfg
 
 

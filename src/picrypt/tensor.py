@@ -2,16 +2,17 @@
 
 Every operation ends in one ``Tensor(value, parents, pullback)``: its
 result, its inputs and the closure that hands them their gradients.
-backward() replays the pullbacks in reverse recording order, so gradient
-accumulation order is fixed and runs are reproducible. Matrices are plain
-2-D numpy arrays; there is no broadcasting beyond the bias-row case add()
-documents. matmul and add take a plain array as the left operand, and
-layer_norm as gamma or beta: a constant, which is not a parent of the
-result and gets no gradient.
+backward() walks the tape newest node first, never entering a leaf, so
+gradient accumulation order is fixed and runs are reproducible. Matrices
+are plain 2-D numpy arrays; there is no broadcasting beyond the bias-row
+case add() documents. matmul and add take a plain array as the left
+operand, and layer_norm as gamma or beta: a constant, which is not a
+parent of the result and gets no gradient.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import struct
@@ -280,24 +281,22 @@ def cross_entropy(logits: Tensor, label: int) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate grads of everything ``loss`` depends on.
 
-    Pullbacks run in reverse recording order (a valid topological order by
-    construction), so accumulation order never varies between runs.
+    Pops the newest pending node, runs its pullback and pushes its parents
+    that have one. A parent is made before its children, so pullbacks run in
+    descending ``_id``, each after every node it feeds, in a fixed order.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    nodes = {}
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if t._id in nodes:
-            continue
-        nodes[t._id] = t
-        stack.extend(t._parents)
     loss.accumulate(np.ones_like(loss.data))
-    for tid in sorted(nodes, reverse=True):
-        t = nodes[tid]
+    pending, heap = {loss._id: loss}, [-loss._id]
+    while heap:
+        t = pending.pop(-heapq.heappop(heap))
         if t._pullback is not None and t.grad is not None:
             t._pullback(t.grad)
+        for p in t._parents:
+            if p._pullback is not None and p._id not in pending:
+                pending[p._id] = p
+                heapq.heappush(heap, -p._id)
 
 
 def zero_grads(params) -> None:

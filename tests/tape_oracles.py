@@ -5,7 +5,10 @@ and a last-axis concatenation, eight tape nodes per head. Those ops no
 longer have a caller in the package; they are kept here, as they were, so
 the fused node can be checked bit for bit against the composition it
 replaced. ``full_rows_forward`` is ``pevit.forward`` from before its last
-block ran the FFN on the class row alone.
+block ran the FFN on the class row alone. ``dfs_backward`` is
+``tensor.backward`` from before it walked the tape newest node first: a
+depth-first collection of every reachable Tensor, leaves included, then a
+replay in descending ``_id``.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import itertools
 import numpy as np
 
 from picrypt.pevit import encode, readout
+from picrypt.errors import ShapeError
 from picrypt.tensor import Tensor, matmul, scale
 
 
@@ -71,3 +75,22 @@ def per_head_msa(params: dict, prefix: str, z: Tensor, heads: int, trace=None) -
 def full_rows_forward(params: dict, cfg, patches) -> Tensor:
     """Logits with every block, the last one too, run over all N+1 rows."""
     return readout(params, encode(params, cfg, patches))
+
+
+def dfs_backward(loss: Tensor) -> None:
+    """``backward`` as a DFS over every reachable Tensor and a sort of their ids."""
+    if loss.data.size != 1:
+        raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
+    nodes = {}
+    stack = [loss]
+    while stack:
+        t = stack.pop()
+        if t._id in nodes:
+            continue
+        nodes[t._id] = t
+        stack.extend(t._parents)
+    loss.accumulate(np.ones_like(loss.data))
+    for tid in sorted(nodes, reverse=True):
+        t = nodes[tid]
+        if t._pullback is not None and t.grad is not None:
+            t._pullback(t.grad)

@@ -132,6 +132,17 @@ def test_jigsaw_single_patch():
     assert jigsaw_solve([p], 2, 3, holes=[True]).slots.tolist() == [[-1] * 3] * 2
 
 
+@pytest.mark.parametrize("patches, match", [
+    (np.zeros((4, 4, 4), np.uint8), r"shape \(4, 4, 4\) are not an \(N, P, Q, C\) stack"),
+    (np.zeros((2, 2, 2, 1, 1), np.uint8), "not an"),
+    ([np.zeros((4, 4, 1), np.uint8), np.zeros((4, 2, 1), np.uint8)], "differ in shape"),
+    ([np.zeros((4, 4, 1), np.uint8)] * 3 + [np.zeros((4, 4, 3), np.uint8)], "differ in shape"),
+])
+def test_jigsaw_rejects_a_malformed_patch_stack(patches, match):
+    with pytest.raises(GeometryError, match=match):
+        jigsaw_solve(patches, 2, 2)
+
+
 def test_jigsaw_rejects_overfull():
     p = np.zeros((4, 4, 1), dtype=np.uint8)
     with pytest.raises(GeometryError):

@@ -703,6 +703,32 @@ def test_sweep_train_config_checked_before_any_corpus(monkeypatch, tmp_path, cap
     assert calls == []
 
 
+# a 1024^2 image at P=2 is 262144 patches: one head's scores alone would
+# be a 512 GiB (1, 262145, 262145) array
+HUGE_ATTENTION_CFG = (
+    "data.image_size = 1024\ndata.classes = 2\ndata.train_per_class = 1\n"
+    "data.test_per_class = 1\nmodel.dim = 8\nmodel.depth = 1\nmodel.heads = 1\n"
+    "model.ffn_dim = 8\ntrain.epochs = 1\nenc.mode = rs\nenc.patch_size = 2\n"
+)
+
+
+@pytest.mark.parametrize("verb", ["train", "eval", "sweep"])
+def test_attention_scores_above_bound_exit_before_any_corpus(monkeypatch, tmp_path,
+                                                             capsys, verb):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(HUGE_ATTENTION_CFG)
+    argv = {"train": ["train", "--config", str(cfg), "--out", str(tmp_path / "m.petn")],
+            "eval": ["eval", "--config", str(cfg), "--ckpt", str(tmp_path / "m.petn")],
+            "sweep": ["sweep", "--patch", "2", "--image-size", "1024", "--images", "1",
+                      "--train-config", str(cfg)]}[verb]
+    calls = counted(monkeypatch, "gen_dataset", "gen_puzzle_corpus")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "1 heads of 262145x262145 attention scores exceed MAX_MODEL_FLOATS" in err
+    assert calls == []
+    assert not (tmp_path / "m.petn").exists()
+
+
 # ---------------------------------------------------------------- gradcheck
 
 

@@ -527,6 +527,26 @@ def test_positions_checked_before_any_weight(monkeypatch, positions, drop_ratio,
     assert predictions(params, fitted, d.test_x).shape == (4,)
 
 
+@pytest.mark.parametrize("side, patch, heads, tokens, fits", [
+    (64, 16, 4, 17, True),      # criterion 6 and train_rs64: 4 * 17^2 = 1156 scores
+    (224, 16, 4, 197, True),
+    (224, 8, 4, 785, True),     # 2.46 M
+    (224, 4, 4, 3137, False),   # 39.4 M
+    (1024, 2, 1, 262145, False),
+])
+def test_attention_scores_bounded_by_model_floats(side, patch, heads, tokens, fits):
+    # the (heads, tokens, tokens) scores of one image, under the weight bound
+    model = ModelConfig(patch_dim=patch * patch * 3, dim=16, depth=1, heads=heads, ffn_dim=8)
+    cfg = tiny_cfg(model=model, patch_size=patch)
+    assert (heads * tokens**2 <= pevit.MAX_MODEL_FLOATS) == fits
+    if fits:
+        check_geometry(cfg, (side, side, 3))
+    else:
+        with pytest.raises(ConfigError, match=f"{heads} heads of {tokens}x{tokens} "
+                                              "attention scores exceed MAX_MODEL_FLOATS"):
+            check_geometry(cfg, (side, side, 3))
+
+
 # ---------------------------------------------------------------- gradleak
 
 

@@ -35,7 +35,8 @@ from picrypt.tensor import (
     sigmoid,
     zero_grads,
 )
-from tape_oracles import concat_last_axis, softmax_rows, transpose_last_two
+from picrypt.pevit import ModelConfig, init_params, loss_fn
+from tape_oracles import concat_last_axis, dfs_backward, softmax_rows, transpose_last_two
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "picrypt"
@@ -174,6 +175,23 @@ def test_pullback_is_assigned_only_in_the_tensor_constructor():
     sites = [(path.name, scope) for path in sorted(SRC.glob("*.py"))
              for scope in pullback_assignments(ast.parse(path.read_text()))]
     assert sites == [("tensor.py", "Tensor.__init__")]
+
+
+def parents_reads(node, scope=()):
+    """Dotted scope of every read of a ``_parents`` attribute under node."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = (*scope, node.name)
+    if isinstance(node, ast.Attribute) and node.attr == "_parents" \
+            and isinstance(node.ctx, ast.Load):
+        yield ".".join(scope)
+    for child in ast.iter_child_nodes(node):
+        yield from parents_reads(child, scope)
+
+
+def test_parents_are_read_only_by_backward():
+    sites = {(path.name, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in parents_reads(ast.parse(path.read_text()))}
+    assert sites == {("tensor.py", "backward")}
 
 
 def test_scale_and_transpose():
@@ -406,6 +424,86 @@ def test_backward_deterministic():
         backward(scalar_sum(softmax_rows(z)))
         grads.append(wt.grad.copy())
     assert np.array_equal(grads[0], grads[1])
+
+
+def tape_of(loss):
+    """Every Tensor ``loss`` reaches, leaves included."""
+    found, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in found:
+            found[id(node)] = node
+            stack.extend(node._parents)
+    return list(found.values())
+
+
+def replays(loss, walks):
+    """Per walk, the ``_id`` of each node whose pullback ``walk(loss)`` runs,
+    in order, and the gradient bytes it leaves on the tape; every walk
+    starts from cleared gradients."""
+    nodes, ran, out = tape_of(loss), [], []
+
+    def logged(pull, i):
+        return lambda g: (ran.append(i), pull(g))
+
+    for node in nodes:
+        if node._pullback is not None:
+            node._pullback = logged(node._pullback, node._id)
+    for walk in walks:
+        ran.clear()
+        for node in nodes:
+            node.grad = None
+        walk(loss)
+        out.append((list(ran), [None if n.grad is None else n.grad.tobytes() for n in nodes]))
+    return out
+
+
+def rpe_positions_loss():
+    # rpe's branch joins the embedding before the pos rows are added
+    cfg = ModelConfig(patch_dim=12, dim=8, depth=2, heads=2, ffn_dim=16, n_classes=3,
+                      rpe=True, rpe_hidden=4, positions=6)
+    params = init_params(cfg, seed=3)
+    return loss_fn(params, cfg, np.random.default_rng(3).random((5, 12)), 2)
+
+
+def far_apart_loss():
+    # x feeds a gelu, an add a dozen nodes later and one two dozen later,
+    # as the last push of the loss's add, so a last-pushed-first walk would
+    # run x's pullback before the chain's; w feeds every matmul
+    rng = np.random.default_rng(4)
+    w = t(rng.standard_normal((4, 4)) / 2)
+    x = matmul(rng.standard_normal((3, 4)), w)
+    h = gelu(x)
+    for _ in range(12):
+        h = gelu(matmul(h, w))
+    h = add(x, h)
+    for _ in range(12):
+        h = sigmoid(scale(h, 0.5))
+    return cross_entropy(first_row(add(h, x)), 1)
+
+
+@pytest.mark.parametrize("build", [rpe_positions_loss, far_apart_loss])
+def test_backward_replays_in_the_dfs_and_sort_order(build):
+    loss = build()
+    leaf_ids = {n._id for n in tape_of(loss) if n._pullback is None}
+    (order, grads), (want, want_grads) = replays(loss, [backward, dfs_backward])
+    assert order == want and grads == want_grads
+    assert order == sorted(order, reverse=True) and not leaf_ids & set(order)
+    assert len(order) == len(tape_of(loss)) - len(leaf_ids)
+
+
+class NeverRead:
+    def __iter__(self):
+        raise AssertionError("backward read a leaf's parents")
+
+
+@pytest.mark.parametrize("build", [rpe_positions_loss, far_apart_loss])
+def test_backward_never_walks_past_a_leaf(build):
+    loss = build()
+    for node in tape_of(loss):
+        if node._pullback is None:
+            node._parents = NeverRead()
+    backward(loss)
 
 
 # ---------------------------------------------------------------- grad_check
